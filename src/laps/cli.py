@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from . import __version__
 from .errors import ConfigError, RealizationError, ResourceLimitError
@@ -29,10 +30,6 @@ from .roots import (GENERIC, Generic, Root, Weight, build_root_system,
 from .verma import (ALL_POSITIVE, DELTA_ONLY, VARIANTS, VermaModule,
                     bgg_criterion, character_weight, simplicity_oracle,
                     weight_space_basis)
-
-_KEY_ORDER = ("group", "c", "lambda", "variant", "oracle", "oracle_bound",
-              "I", "J", "w", "height_bound", "p", "d", "degree", "monomial",
-              "t", "tau", "terms")
 
 _GROUP_RE = re.compile(r"([A-G])([1-9])")
 _RESSCALARS_RE = re.compile(r"ResScalars\(\s*GL2\s*,\s*([1-9]\d*)\s*\)")
@@ -70,51 +67,50 @@ class ProblemConfig:
 
 
 def _tokenize_list(s: str):
-    tokens = re.findall(r"\[|\]|,|[^\[\],\s]+", s)
-    if "".join(tokens).replace(" ", "") != re.sub(r"\s+", "", s):
-        raise ValueError("malformed list")
-    pos = 0
+    """Parse a bracketed value into nested lists of atom strings.
 
-    def parse():
-        nonlocal pos
-        if pos >= len(tokens):
-            raise ValueError("unexpected end of list")
+    Open lists live on an explicit stack, so no nesting depth can exhaust
+    the interpreter stack; no key takes lists nested more than two deep.
+    """
+    tokens = re.findall(r"\[|\]|,|[^\[\],\s]+", s) + [None]  # None: end
+    pos = 0
+    open_lists: List[list] = []
+    while True:
         tok = tokens[pos]
-        if tok == "[":
-            pos += 1
-            items = []
-            if pos < len(tokens) and tokens[pos] == "]":
-                pos += 1
-                return items
-            while True:
-                items.append(parse())
-                if pos >= len(tokens):
-                    raise ValueError("unterminated list")
-                if tokens[pos] == ",":
-                    pos += 1
-                    continue
-                if tokens[pos] == "]":
-                    pos += 1
-                    return items
-                raise ValueError("expected ',' or ']'")
+        pos += 1
+        if tok is None:
+            raise ValueError("unexpected end of list")
         if tok in (",", "]"):
             raise ValueError("unexpected %r" % tok)
-        pos += 1
-        return tok
-
-    value = parse()
-    if pos != len(tokens):
-        raise ValueError("trailing content after value")
-    return value
+        if tok != "[":
+            value = tok
+        elif tokens[pos] == "]":
+            pos += 1
+            value = []
+        else:
+            open_lists.append([])
+            continue
+        # A value is complete: add it to the innermost open list and close
+        # every list that ends right after it.
+        while open_lists:
+            open_lists[-1].append(value)
+            tok = tokens[pos]
+            pos += 1
+            if tok == ",":
+                break
+            if tok != "]":
+                raise ValueError("unterminated list" if tok is None
+                                 else "expected ',' or ']'")
+            value = open_lists.pop()
+        else:
+            if tokens[pos] is not None:
+                raise ValueError("trailing content after value")
+            return value
 
 
 def _entry_atom(s: str):
     if s == "generic":
         return GENERIC
-    return Fraction(s)
-
-
-def _rational_atom(s: str) -> Fraction:
     return Fraction(s)
 
 
@@ -131,246 +127,215 @@ def _flat(value, atom, what):
     return tuple(atom(x) for x in value)
 
 
+def _parse_group(key, value, cfg):
+    cfg.group_text = value
+    m = _RESSCALARS_RE.fullmatch(value)
+    if m is not None:
+        cfg.type_label, cfg.rank = "A", 1
+        cfg.gamma = int(m.group(1))
+        return "resscalars"
+    if value == "GL2":
+        cfg.type_label, cfg.rank = "A", 1
+        return "gl2"
+    m = _GROUP_RE.fullmatch(value)
+    if m is None:
+        raise ValueError("group must be a Dynkin label (A2), GL2, or "
+                         "ResScalars(GL2, k); got %r" % value)
+    cfg.type_label, cfg.rank = m.group(1), int(m.group(2))
+    try:
+        build_root_system(cfg.type_label, cfg.rank)
+    except ConfigError as exc:
+        raise ValueError(str(exc)) from None
+    return "lie"
+
+
+def _parse_c(key, value, cfg):
+    parsed = _tokenize_list(value)
+    if cfg.group_kind != "resscalars":
+        flat = _flat(parsed, _entry_atom, key)
+        if cfg.group_kind == "gl2" and len(flat) != 2:
+            raise ValueError("GL2 takes exactly 2 exponents, got %d"
+                             % len(flat))
+        return flat
+    if (not isinstance(parsed, list)
+            or not all(isinstance(x, list) for x in parsed)):
+        raise ValueError("c must be a list of exponent pairs for ResScalars")
+    if len(parsed) != cfg.gamma:
+        raise ValueError("expected %d exponent pairs, got %d"
+                         % (cfg.gamma, len(parsed)))
+    rows = []
+    for row in parsed:
+        if len(row) != 2 or any(isinstance(x, list) for x in row):
+            raise ValueError("each exponent pair must have exactly 2 entries")
+        rows.append(tuple(_entry_atom(x) for x in row))
+    return tuple(rows)
+
+
+def _parse_lambda(key, value, cfg):
+    lam = _flat(_tokenize_list(value), _entry_atom, key)
+    if cfg.group_kind == "lie" and len(lam) != cfg.rank:
+        raise ValueError("lambda arity %d does not match rank %d"
+                         % (len(lam), cfg.rank))
+    return lam
+
+
+def _parse_variant(key, value, cfg):
+    if value not in VARIANTS + ("both",):
+        raise ValueError("variant must be delta-only, all-positive, or both")
+    return value
+
+
+def _parse_oracle(key, value, cfg):
+    if value not in ("true", "false"):
+        raise ValueError("oracle must be true or false")
+    return value == "true"
+
+
+def _count(minimum):
+    def parse(key, value, cfg):
+        n = _int_atom(value)
+        if n < minimum:
+            raise ValueError("%s must be at least %d" % (key, minimum))
+        return n
+    return parse
+
+
+def _parse_oracle_bound(key, value, cfg):
+    bound = _count(1)(key, value, cfg)
+    cfg.oracle = True
+    return bound
+
+
+def _parse_indices(key, value, cfg):
+    indices = _flat(_tokenize_list(value), _int_atom, key)
+    if any(x < 1 for x in indices):
+        raise ValueError("%s entries must be at least 1" % key)
+    if cfg.group_kind and any(x > cfg.rank for x in indices):
+        raise ValueError("%s entry out of range 1..%d" % (key, cfg.rank))
+    return indices
+
+
+def _parse_prime(key, value, cfg):
+    p = _int_atom(value)
+    if not is_prime(p):
+        raise ValueError("p must be prime, got %d" % p)
+    return p
+
+
+def _parse_monomial(key, value, cfg):
+    mono = _flat(_tokenize_list(value), _int_atom, key)
+    if any(x < 0 for x in mono):
+        raise ValueError("monomial exponents must be nonnegative")
+    if cfg.d is not None and len(mono) != cfg.d:
+        raise ValueError("monomial arity %d does not match d = %d"
+                         % (len(mono), cfg.d))
+    return mono
+
+
+def _parse_t(key, value, cfg):
+    t = Fraction(value)
+    if not 0 < t < 1:
+        raise ValueError("t must satisfy 0 < t < 1, got %s" % t)
+    return t
+
+
+def _parse_tau(key, value, cfg):
+    tau = _flat(_tokenize_list(value), Fraction, key)
+    if any(x <= 0 for x in tau):
+        raise ValueError("tau entries must be positive")
+    if cfg.d is not None and len(tau) != cfg.d:
+        raise ValueError("tau arity %d does not match d = %d"
+                         % (len(tau), cfg.d))
+    return tau
+
+
+def _parse_terms(key, value, cfg):
+    parsed = _tokenize_list(value)
+    if cfg.d is None:
+        raise ValueError("terms requires d to be set")
+    if (not isinstance(parsed, list)
+            or not all(isinstance(x, list) for x in parsed)):
+        raise ValueError("terms must be a list of "
+                         "[n_1, ..., n_d, coefficient] rows")
+    rows = []
+    for row in parsed:
+        if len(row) != cfg.d + 1 or any(isinstance(x, list) for x in row):
+            raise ValueError("each term needs %d indices and one "
+                             "coefficient" % cfg.d)
+        index = tuple(_int_atom(x) for x in row[:-1])
+        if any(x < 0 for x in index):
+            raise ValueError("term indices must be nonnegative")
+        rows.append((index, Fraction(row[-1])))
+    return tuple(rows)
+
+
+# Config key -> (ProblemConfig attribute, parser). A parser takes (key, raw
+# value, config so far), returns the attribute value and raises ValueError or
+# ZeroDivisionError with the violation text. Keys are parsed and echoed in
+# this order, so a parser may read what the keys above it set (group fixes
+# the kind and rank that c, lambda, I, J and w are checked against; d fixes
+# the arity of monomial, tau and terms).
+_SCHEMA = {
+    "group": ("group_kind", _parse_group),
+    "c": ("c", _parse_c),
+    "lambda": ("lam", _parse_lambda),
+    "variant": ("variant", _parse_variant),
+    "oracle": ("oracle", _parse_oracle),
+    "oracle_bound": ("oracle_bound", _parse_oracle_bound),
+    "I": ("subset_i", _parse_indices),
+    "J": ("subset_j", _parse_indices),
+    "w": ("word", _parse_indices),
+    "height_bound": ("height_bound", _count(1)),
+    "p": ("p", _parse_prime),
+    "d": ("d", _count(1)),
+    "degree": ("degree", _count(0)),
+    "monomial": ("monomial", _parse_monomial),
+    "t": ("t", _parse_t),
+    "tau": ("tau", _parse_tau),
+    "terms": ("terms", _parse_terms),
+}
+
+
 def parse_config(text: str) -> ProblemConfig:
     """Parse the key-value schema, collecting every violation before failing."""
-    violations: List[str] = []
+    violations: List[Tuple[int, str]] = []
     raw: Dict[str, Tuple[int, str]] = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
         if "=" not in stripped:
-            violations.append("line %d: expected 'key = value'" % lineno)
+            violations.append((lineno, "expected 'key = value'"))
             continue
         key, _, value = stripped.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _KEY_ORDER:
-            violations.append("line %d: unknown key %r" % (lineno, key))
+        if key not in _SCHEMA:
+            violations.append((lineno, "unknown key %r" % key))
             continue
         if key in raw:
-            violations.append("line %d: duplicate key %r" % (lineno, key))
+            violations.append((lineno, "duplicate key %r" % key))
             continue
         if not value:
-            violations.append("line %d: empty value for %r" % (lineno, key))
+            violations.append((lineno, "empty value for %r" % key))
             continue
         raw[key] = (lineno, value)
 
     cfg = ProblemConfig()
-    cfg.echo = {k: raw[k][1] for k in _KEY_ORDER if k in raw}
-
-    def bad(key, message):
-        violations.append("line %d: %s" % (raw[key][0], message))
-
-    if "group" in raw:
-        value = raw["group"][1]
-        cfg.group_text = value
-        m = _RESSCALARS_RE.fullmatch(value)
-        if m is not None:
-            cfg.group_kind = "resscalars"
-            cfg.type_label, cfg.rank = "A", 1
-            cfg.gamma = int(m.group(1))
-        elif value == "GL2":
-            cfg.group_kind = "gl2"
-            cfg.type_label, cfg.rank = "A", 1
-        else:
-            m = _GROUP_RE.fullmatch(value)
-            if m is None:
-                bad("group", "group must be a Dynkin label (A2), GL2, or "
-                    "ResScalars(GL2, k); got %r" % value)
-            else:
-                cfg.group_kind = "lie"
-                cfg.type_label, cfg.rank = m.group(1), int(m.group(2))
-                try:
-                    build_root_system(cfg.type_label, cfg.rank)
-                except ConfigError as exc:
-                    cfg.group_kind = ""
-                    bad("group", str(exc))
-
-    def parse_value(key, convert):
+    cfg.echo = {k: raw[k][1] for k in _SCHEMA if k in raw}
+    for key, (attr, parse) in _SCHEMA.items():
+        if key not in raw:
+            continue
         lineno, value = raw[key]
         try:
-            return convert(value)
+            setattr(cfg, attr, parse(key, value, cfg))
         except (ValueError, ZeroDivisionError) as exc:
-            violations.append("line %d: %s" % (lineno, exc))
-            return None
-
-    if "c" in raw:
-        parsed = parse_value("c", _tokenize_list)
-        if parsed is not None:
-            try:
-                if cfg.group_kind == "resscalars":
-                    if (not isinstance(parsed, list)
-                            or not all(isinstance(x, list) for x in parsed)):
-                        raise ValueError("c must be a list of exponent pairs "
-                                         "for ResScalars")
-                    if len(parsed) != cfg.gamma:
-                        raise ValueError("expected %d exponent pairs, got %d"
-                                         % (cfg.gamma, len(parsed)))
-                    rows = []
-                    for row in parsed:
-                        if len(row) != 2 or any(isinstance(x, list) for x in row):
-                            raise ValueError("each exponent pair must have "
-                                             "exactly 2 entries")
-                        rows.append(tuple(_entry_atom(x) for x in row))
-                    cfg.c = tuple(rows)
-                else:
-                    flat = _flat(parsed, _entry_atom, "c")
-                    if cfg.group_kind == "gl2" and len(flat) != 2:
-                        raise ValueError("GL2 takes exactly 2 exponents, got %d"
-                                         % len(flat))
-                    cfg.c = flat
-            except (ValueError, ZeroDivisionError) as exc:
-                bad("c", str(exc))
-
-    if "lambda" in raw:
-        parsed = parse_value("lambda", _tokenize_list)
-        if parsed is not None:
-            try:
-                flat = _flat(parsed, _entry_atom, "lambda")
-                if cfg.group_kind == "lie" and len(flat) != cfg.rank:
-                    raise ValueError("lambda arity %d does not match rank %d"
-                                     % (len(flat), cfg.rank))
-                cfg.lam = flat
-            except (ValueError, ZeroDivisionError) as exc:
-                bad("lambda", str(exc))
-
-    if "variant" in raw:
-        value = raw["variant"][1]
-        if value not in VARIANTS + ("both",):
-            bad("variant", "variant must be delta-only, all-positive, or both")
-        else:
-            cfg.variant = value
-
-    if "oracle" in raw:
-        value = raw["oracle"][1]
-        if value not in ("true", "false"):
-            bad("oracle", "oracle must be true or false")
-        else:
-            cfg.oracle = value == "true"
-
-    def positive_int(key, minimum=1):
-        value = parse_value(key, _int_atom)
-        if value is None:
-            return None
-        if value < minimum:
-            bad(key, "%s must be at least %d" % (key, minimum))
-            return None
-        return value
-
-    if "oracle_bound" in raw:
-        cfg.oracle_bound = positive_int("oracle_bound")
-        if cfg.oracle_bound is not None:
-            cfg.oracle = True
-
-    for key, attr in (("I", "subset_i"), ("J", "subset_j"), ("w", "word")):
-        if key in raw:
-            parsed = parse_value(key, _tokenize_list)
-            if parsed is not None:
-                try:
-                    indices = _flat(parsed, _int_atom, key)
-                    if any(x < 1 for x in indices):
-                        raise ValueError("%s entries must be at least 1" % key)
-                    if cfg.group_kind and any(x > cfg.rank for x in indices):
-                        raise ValueError("%s entry out of range 1..%d"
-                                         % (key, cfg.rank))
-                    setattr(cfg, attr, indices)
-                except ValueError as exc:
-                    bad(key, str(exc))
-
-    if "height_bound" in raw:
-        cfg.height_bound = positive_int("height_bound")
-
-    if "p" in raw:
-        value = parse_value("p", _int_atom)
-        if value is not None:
-            if not is_prime(value):
-                bad("p", "p must be prime, got %d" % value)
-            else:
-                cfg.p = value
-
-    if "d" in raw:
-        cfg.d = positive_int("d")
-    if "degree" in raw:
-        cfg.degree = positive_int("degree", minimum=0)
-
-    if "monomial" in raw:
-        parsed = parse_value("monomial", _tokenize_list)
-        if parsed is not None:
-            try:
-                mono = _flat(parsed, _int_atom, "monomial")
-                if any(x < 0 for x in mono):
-                    raise ValueError("monomial exponents must be nonnegative")
-                if cfg.d is not None and len(mono) != cfg.d:
-                    raise ValueError("monomial arity %d does not match d = %d"
-                                     % (len(mono), cfg.d))
-                cfg.monomial = mono
-            except ValueError as exc:
-                bad("monomial", str(exc))
-
-    if "t" in raw:
-        value = parse_value("t", _rational_atom)
-        if value is not None:
-            if not 0 < value < 1:
-                bad("t", "t must satisfy 0 < t < 1, got %s" % value)
-            else:
-                cfg.t = value
-
-    if "tau" in raw:
-        parsed = parse_value("tau", _tokenize_list)
-        if parsed is not None:
-            try:
-                tau = _flat(parsed, _rational_atom, "tau")
-                if any(x <= 0 for x in tau):
-                    raise ValueError("tau entries must be positive")
-                if cfg.d is not None and len(tau) != cfg.d:
-                    raise ValueError("tau arity %d does not match d = %d"
-                                     % (len(tau), cfg.d))
-                cfg.tau = tau
-            except (ValueError, ZeroDivisionError) as exc:
-                bad("tau", str(exc))
-
-    if "terms" in raw:
-        parsed = parse_value("terms", _tokenize_list)
-        if parsed is not None:
-            try:
-                if cfg.d is None:
-                    raise ValueError("terms requires d to be set")
-                if (not isinstance(parsed, list)
-                        or not all(isinstance(x, list) for x in parsed)):
-                    raise ValueError("terms must be a list of "
-                                     "[n_1, ..., n_d, coefficient] rows")
-                rows = []
-                for row in parsed:
-                    if len(row) != cfg.d + 1 or any(isinstance(x, list) for x in row):
-                        raise ValueError("each term needs %d indices and one "
-                                         "coefficient" % cfg.d)
-                    index = tuple(_int_atom(x) for x in row[:-1])
-                    if any(x < 0 for x in index):
-                        raise ValueError("term indices must be nonnegative")
-                    rows.append((index, _rational_atom(row[-1])))
-                cfg.terms = tuple(rows)
-            except (ValueError, ZeroDivisionError) as exc:
-                bad("terms", str(exc))
+            violations.append((lineno, str(exc)))
 
     if violations:
-        def line_of(v):
-            m = re.match(r"line (\d+):", v)
-            return int(m.group(1)) if m else 0
-        raise ConfigError(sorted(violations, key=line_of))
+        violations.sort(key=lambda v: v[0])
+        raise ConfigError(["line %d: %s" % v for v in violations])
     return cfg
-
-
-def _require(cfg: ProblemConfig, command: str, *keys: str):
-    attr_of = {"group": "group_kind", "lambda": "lam", "I": "subset_i"}
-    missing = []
-    for key in keys:
-        value = getattr(cfg, attr_of.get(key, key))
-        if value is None or (key == "group" and not cfg.group_kind):
-            missing.append(key)
-    if missing:
-        raise ConfigError(["%s requires config key %r" % (command, k)
-                           for k in missing])
 
 
 def _fmt(x) -> str:
@@ -405,25 +370,17 @@ def _fmt_pbw(order, vec) -> str:
     return " ".join(parts) if parts else "0"
 
 
-def _combo_str(coords) -> str:
-    if not any(coords):
-        return "0"
-    return str(Root(tuple(coords)))
-
-
 def _jsonify(x):
     if isinstance(x, dict):
         return {str(k): _jsonify(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
         return [_jsonify(v) for v in x]
-    if isinstance(x, Fraction):
+    if isinstance(x, (Fraction, Root)):
         return str(x)
     if isinstance(x, Generic):
         return "generic"
     if isinstance(x, float):
         return "inf" if x == INF else x
-    if isinstance(x, Root):
-        return str(x)
     return x
 
 
@@ -436,29 +393,13 @@ def _provenance(cfg: ProblemConfig) -> dict:
     }
 
 
-def _criterion_block(label, rs, lam: Weight, requested: str) -> tuple:
-    by_variant = {v: bgg_criterion(rs, lam, v) for v in VARIANTS}
-    shown = VARIANTS if requested == "both" else (requested,)
-    entries = []
-    for v in shown:
-        rep = by_variant[v]
-        entries.append({
-            "embedding": label,
-            "variant": v,
-            "verdict": rep.verdict,
-            "witnesses": [{"beta": str(b), "n": n} for b, n in rep.witnesses],
-        })
-    disagree = by_variant[DELTA_ONLY].simple != by_variant[ALL_POSITIVE].simple
-    return entries, by_variant, disagree
-
-
 def _run_check(cfg: ProblemConfig) -> dict:
-    _require(cfg, "check", "group")
     requested = cfg.variant or ALL_POSITIVE
     verdict_variant = ALL_POSITIVE if requested == "both" else requested
 
     if cfg.group_kind == "lie":
-        _require(cfg, "check", "lambda")
+        if cfg.lam is None:
+            raise ConfigError(["check requires config key 'lambda'"])
         rs = build_root_system(cfg.type_label, cfg.rank)
         characters = [(None, Weight(cfg.lam))]
         character_echo = {"lambda": [_fmt(x) for x in cfg.lam]}
@@ -483,13 +424,23 @@ def _run_check(cfg: ProblemConfig) -> dict:
             character_echo[label] = {"c": [_fmt(x) for x in exps],
                                      "lambda": [_fmt(x) for x in lam.pairings]}
 
+    shown = VARIANTS if requested == "both" else (requested,)
     criteria = []
     disagree = False
     failing = None
     for label, lam in characters:
-        entries, by_variant, dis = _criterion_block(label, rs, lam, requested)
-        criteria.extend(entries)
-        disagree = disagree or dis
+        by_variant = {v: bgg_criterion(rs, lam, v) for v in VARIANTS}
+        for v in shown:
+            rep = by_variant[v]
+            criteria.append({
+                "embedding": label,
+                "variant": v,
+                "verdict": rep.verdict,
+                "witnesses": [{"beta": str(b), "n": n}
+                              for b, n in rep.witnesses],
+            })
+        disagree = disagree or (by_variant[DELTA_ONLY].simple
+                                != by_variant[ALL_POSITIVE].simple)
         rep = by_variant[verdict_variant]
         if failing is None and not rep.simple:
             failing = (label, rep.witnesses[0])
@@ -505,7 +456,6 @@ def _run_check(cfg: ProblemConfig) -> dict:
                   % (beta, n, where))
 
     payload = {
-        "command": "check",
         "group": cfg.group_text,
         "character": character_echo,
         "variant": requested,
@@ -514,46 +464,37 @@ def _run_check(cfg: ProblemConfig) -> dict:
         "verdict": verdict,
         "reason": reason,
         "basis": "BGG simplicity criterion, %s variant" % verdict_variant,
+        "oracle": None,
     }
 
     if cfg.oracle:
         oracle_blocks = []
         for label, lam in characters:
             block = {"embedding": label}
+            oracle_blocks.append(block)
             if not lam.is_rational():
                 block["skipped"] = ("generic exponents: criterion-only "
                                     "character, nothing to scan")
-                oracle_blocks.append(block)
                 continue
             try:
                 algebra = realize(rs)
             except RealizationError as exc:
                 block["skipped"] = str(exc)
-                oracle_blocks.append(block)
                 continue
             module = VermaModule(algebra, lam)
             report = simplicity_oracle(module, cfg.oracle_bound)
             block["bound"] = report.bound
             block["reducible"] = report.reducible
-            witnesses = []
-            for nu, vecs in report.witnesses:
-                witnesses.append({
-                    "weight": "lambda - (%s)" % _combo_str(nu),
-                    "dimension": len(vecs),
-                    "vectors": [_fmt_pbw(module.pbw_order, v) for v in vecs],
-                })
-            block["witnesses"] = witnesses
-            oracle_blocks.append(block)
+            block["witnesses"] = [{
+                "weight": "lambda - (%s)" % Root(nu),
+                "dimension": len(vecs),
+                "vectors": [_fmt_pbw(module.pbw_order, v) for v in vecs],
+            } for nu, vecs in report.witnesses]
         payload["oracle"] = oracle_blocks
-    else:
-        payload["oracle"] = None
-
-    payload["provenance"] = _provenance(cfg)
     return payload
 
 
 def _run_cosets(cfg: ProblemConfig) -> dict:
-    _require(cfg, "cosets", "group")
     rs = build_root_system(cfg.type_label, cfg.rank)
     group = build_weyl_group(rs)
     subset_i = ParabolicType.of(cfg.subset_i or ())
@@ -566,40 +507,33 @@ def _run_cosets(cfg: ProblemConfig) -> dict:
         rows.append({"representative": str(rep), "length": rep.length,
                      "size": size})
     return {
-        "command": "cosets",
         "group": cfg.group_text,
         "I": list(subset_i.indices),
         "J": list(subset_j.indices),
         "group_order": len(group),
         "coset_count": len(rows),
         "cosets": rows,
-        "provenance": _provenance(cfg),
     }
 
 
 def _run_partition(cfg: ProblemConfig) -> dict:
-    _require(cfg, "partition", "group")
     rs = build_root_system(cfg.type_label, cfg.rank)
     subset_i = ParabolicType.of(cfg.subset_i or ())
     w = weyl_element(rs, cfg.word or ())
     plus, minus = iwahori_root_partition(rs, subset_i, w)
     return {
-        "command": "partition",
         "group": cfg.group_text,
         "I": list(subset_i.indices),
         "w": str(w),
         "plus": [str(r) for r in plus],
         "minus": [str(r) for r in minus],
-        "provenance": _provenance(cfg),
     }
 
 
 def _run_weights(cfg: ProblemConfig) -> dict:
-    _require(cfg, "weights", "group", "height_bound")
     rs = build_root_system(cfg.type_label, cfg.rank)
-    lam_values = cfg.lam if cfg.lam is not None else (0,) * cfg.rank
-    lam = Weight(tuple(Fraction(x) if not isinstance(x, Generic) else x
-                       for x in lam_values))
+    lam = Weight(cfg.lam if cfg.lam is not None
+                 else (Fraction(0),) * cfg.rank)
     if not lam.is_rational():
         raise ConfigError(["weights requires a rational lambda"])
     module = VermaModule(realize(rs), lam)
@@ -613,52 +547,37 @@ def _run_weights(cfg: ProblemConfig) -> dict:
             continue
         mu = lam - weight_of_root(rs, Root(nu)) if any(nu) else lam
         dim = len(weight_space_basis(module, mu))
-        rows.append({"nu": _combo_str(nu), "height": sum(nu),
+        rows.append({"nu": str(Root(nu)), "height": sum(nu),
                      "dimension": dim})
     return {
-        "command": "weights",
         "group": cfg.group_text,
         "lambda": [_fmt(x) for x in lam.pairings],
         "height_bound": bound,
         "rows": rows,
-        "provenance": _provenance(cfg),
     }
 
 
 def _run_mahler(cfg: ProblemConfig) -> dict:
-    _require(cfg, "mahler", "p", "d", "degree", "monomial")
     exps = cfg.monomial
-    if len(exps) != cfg.d:
-        raise ConfigError(["monomial arity %d does not match d = %d"
-                           % (len(exps), cfg.d)])
 
     def f(*point):
-        value = 1
-        for x, k in zip(point, exps):
-            value *= x ** k
-        return Fraction(value)
+        return Fraction(math.prod(x ** k for x, k in zip(point, exps)))
 
     series = mahler_coefficients(cfg.p, cfg.d, f, cfg.degree)
     rows = [{"n": list(n), "c": c}
             for n, c in sorted(series.coefficients.items(),
                                key=lambda item: (sum(item[0]), item[0]))]
     return {
-        "command": "mahler",
         "p": cfg.p,
         "d": cfg.d,
         "degree": cfg.degree,
         "monomial": list(exps),
         "degree_bound": series.degree_bound,
         "coefficients": rows,
-        "provenance": _provenance(cfg),
     }
 
 
 def _run_norm(cfg: ProblemConfig) -> dict:
-    _require(cfg, "norm", "p", "d", "t", "tau", "terms")
-    if len(cfg.tau) != cfg.d:
-        raise ConfigError(["tau arity %d does not match d = %d"
-                           % (len(cfg.tau), cfg.d)])
     bound = cfg.degree
     if bound is None:
         bound = max((sum(n) for n, _ in cfg.terms), default=0)
@@ -675,7 +594,6 @@ def _run_norm(cfg: ProblemConfig) -> dict:
             for n, c in sorted(series.coefficients.items(),
                                key=lambda item: (sum(item[0]), item[0]))]
     return {
-        "command": "norm",
         "p": cfg.p,
         "d": cfg.d,
         "t": cfg.t,
@@ -684,17 +602,132 @@ def _run_norm(cfg: ProblemConfig) -> dict:
         "terms": rows,
         "exponent": "inf" if exponent == INF else exponent,
         "norm": norm_text,
-        "provenance": _provenance(cfg),
     }
 
 
-_RUNNERS = {
-    "check": _run_check,
-    "cosets": _run_cosets,
-    "partition": _run_partition,
-    "weights": _run_weights,
-    "mahler": _run_mahler,
-    "norm": _run_norm,
+def _text_check(payload, lines):
+    for key, value in payload["character"].items():
+        if isinstance(value, dict):
+            inner = ", ".join("%s = %s" % (k, _fmt_weight(v))
+                              for k, v in value.items())
+            lines.append("character %s: %s" % (key, inner))
+        else:
+            lines.append("%s: %s" % (key, _fmt_weight(value)))
+    lines.append("variant: %s" % payload["variant"])
+    lines.append("")
+    for entry in payload["criteria"]:
+        where = ("" if entry["embedding"] is None
+                 else " %s" % entry["embedding"])
+        lines.append("criterion [%s]%s: %s"
+                     % (entry["variant"], where, entry["verdict"]))
+        for wit in entry["witnesses"]:
+            lines.append("  witness: beta = %s, n = %d"
+                         % (wit["beta"], wit["n"]))
+    if payload["variants_disagree"]:
+        lines.append("note: criterion variants disagree at this character")
+    lines.append("verdict: %s" % payload["verdict"])
+    if payload["reason"]:
+        lines.append("reason: %s" % payload["reason"])
+    lines.append("basis: %s" % payload["basis"])
+    for block in payload["oracle"] or ():
+        where = ("" if block["embedding"] is None
+                 else " %s" % block["embedding"])
+        lines.append("")
+        if "skipped" in block:
+            lines.append("oracle%s: skipped (%s)" % (where, block["skipped"]))
+            continue
+        outcome = ("reducible" if block["reducible"]
+                   else "no obstruction up to degree %d" % block["bound"])
+        lines.append("oracle%s [bound %d]: %s"
+                     % (where, block["bound"], outcome))
+        for wit in block["witnesses"]:
+            lines.append("  %s: dim %d" % (wit["weight"], wit["dimension"]))
+            for vec in wit["vectors"]:
+                lines.append("    vector: %s" % vec)
+
+
+def _text_cosets(payload, lines):
+    lines.append("I: %s" % payload["I"])
+    lines.append("J: %s" % payload["J"])
+    lines.append("")
+    lines.append("group order: %d" % payload["group_order"])
+    lines.append("double cosets: %d" % payload["coset_count"])
+    for k, row in enumerate(payload["cosets"], 1):
+        lines.append("  [%d] representative = %s, length = %d, size = %d"
+                     % (k, row["representative"], row["length"], row["size"]))
+
+
+def _text_partition(payload, lines):
+    lines.append("I: %s" % payload["I"])
+    lines.append("w: %s" % payload["w"])
+    lines.append("")
+    lines.append("roots with w^-1(alpha) > 0: [%s]"
+                 % ", ".join(payload["plus"]))
+    lines.append("roots with w^-1(alpha) < 0: [%s]"
+                 % ", ".join(payload["minus"]))
+
+
+def _text_weights(payload, lines):
+    lines.append("lambda: %s" % _fmt_weight(payload["lambda"]))
+    lines.append("height bound: %d" % payload["height_bound"])
+    lines.append("")
+    lines.append("weight-space dimensions at lambda - nu:")
+    for row in payload["rows"]:
+        lines.append("  nu = %s (height %d): dim %d"
+                     % (row["nu"], row["height"], row["dimension"]))
+
+
+def _text_mahler(payload, lines):
+    lines.append("p: %d" % payload["p"])
+    lines.append("d: %d" % payload["d"])
+    lines.append("grid degree: %d" % payload["degree"])
+    lines.append("monomial exponents: %s" % payload["monomial"])
+    lines.append("")
+    lines.append("mahler coefficients (degree bound %d):"
+                 % payload["degree_bound"])
+    for row in payload["coefficients"]:
+        lines.append("  n = %s: c = %s" % (row["n"], _fmt(row["c"])))
+
+
+def _text_norm(payload, lines):
+    lines.append("p: %d" % payload["p"])
+    lines.append("d: %d" % payload["d"])
+    lines.append("t: %s" % _fmt(payload["t"]))
+    lines.append("tau: [%s]" % ", ".join(_fmt(x) for x in payload["tau"]))
+    lines.append("")
+    lines.append("series terms (degree bound %d):" % payload["degree_bound"])
+    for row in payload["terms"]:
+        lines.append("  n = %s: d_n = %s" % (row["n"], _fmt(row["c"])))
+    lines.append("exponent: %s" % _fmt(payload["exponent"]))
+    lines.append("norm: %s" % payload["norm"])
+
+
+class _Command(NamedTuple):
+    help: str
+    requires: Tuple[str, ...]
+    runner: Callable[[ProblemConfig], dict]
+    render: Callable[[dict, List[str]], None]
+
+
+# Subcommands in help order. `requires` names keys of _SCHEMA; the runner
+# returns the payload fields that run() puts between "command" and
+# "provenance"; the renderer appends the text lines that render_text puts
+# between the header and the provenance block.
+_COMMANDS: Dict[str, _Command] = {
+    "check": _Command("run the simplicity criterion (and optional oracle)",
+                      ("group",), _run_check, _text_check),
+    "cosets": _Command("enumerate parabolic double cosets",
+                       ("group",), _run_cosets, _text_cosets),
+    "partition": _Command("split roots by the sign of w^-1(alpha)",
+                          ("group",), _run_partition, _text_partition),
+    "weights": _Command("tabulate weight-space dimensions",
+                        ("group", "height_bound"), _run_weights,
+                        _text_weights),
+    "mahler": _Command("expand a monomial in the binomial basis",
+                       ("p", "d", "degree", "monomial"), _run_mahler,
+                       _text_mahler),
+    "norm": _Command("evaluate the weighted Gauss norm of a series",
+                     ("p", "d", "t", "tau", "terms"), _run_norm, _text_norm),
 }
 
 
@@ -706,22 +739,29 @@ class Report:
 
 def run(cfg: ProblemConfig, command: str) -> Report:
     """Execute one subcommand against a parsed config."""
-    runner = _RUNNERS.get(command)
-    if runner is None:
+    spec = _COMMANDS.get(command)
+    if spec is None:
         raise ConfigError(["unknown command %r" % command])
-    return Report(command, runner(cfg))
+    missing = [key for key in spec.requires
+               if getattr(cfg, _SCHEMA[key][0]) in (None, "")]
+    if missing:
+        raise ConfigError(["%s requires config key %r" % (command, key)
+                           for key in missing])
+    payload = {"command": command, **spec.runner(cfg),
+               "provenance": _provenance(cfg)}
+    return Report(command, payload)
 
 
 def render_machine(report: Report) -> str:
     return json.dumps(_jsonify(report.payload), indent=2) + "\n"
 
 
-def _text_common_header(payload, lines):
-    lines.append("laps report")
-    lines.append("command: %s" % payload["command"])
-
-
-def _text_provenance(payload, lines):
+def render_text(report: Report) -> str:
+    payload = report.payload
+    lines = ["laps report", "command: %s" % payload["command"]]
+    if "group" in payload:
+        lines.append("group: %s" % payload["group"])
+    _COMMANDS[report.command].render(payload, lines)
     prov = payload["provenance"]
     lines.append("")
     lines.append("provenance:")
@@ -729,114 +769,6 @@ def _text_provenance(payload, lines):
     lines.append("  ordering: %s" % prov["ordering"])
     for key, value in prov["config"].items():
         lines.append("  config: %s = %s" % (key, value))
-
-
-def render_text(report: Report) -> str:
-    payload = report.payload
-    lines: List[str] = []
-    _text_common_header(payload, lines)
-    command = report.command
-
-    if command == "check":
-        lines.append("group: %s" % payload["group"])
-        for key, value in payload["character"].items():
-            if isinstance(value, dict):
-                inner = ", ".join("%s = %s" % (k, _fmt_weight(v))
-                                  for k, v in value.items())
-                lines.append("character %s: %s" % (key, inner))
-            else:
-                lines.append("%s: %s" % (key, _fmt_weight(value)))
-        lines.append("variant: %s" % payload["variant"])
-        lines.append("")
-        for entry in payload["criteria"]:
-            where = ("" if entry["embedding"] is None
-                     else " %s" % entry["embedding"])
-            lines.append("criterion [%s]%s: %s"
-                         % (entry["variant"], where, entry["verdict"]))
-            for wit in entry["witnesses"]:
-                lines.append("  witness: beta = %s, n = %d"
-                             % (wit["beta"], wit["n"]))
-        if payload["variants_disagree"]:
-            lines.append("note: criterion variants disagree at this character")
-        lines.append("verdict: %s" % payload["verdict"])
-        if payload["reason"]:
-            lines.append("reason: %s" % payload["reason"])
-        lines.append("basis: %s" % payload["basis"])
-        if payload["oracle"] is not None:
-            for block in payload["oracle"]:
-                where = ("" if block["embedding"] is None
-                         else " %s" % block["embedding"])
-                lines.append("")
-                if "skipped" in block:
-                    lines.append("oracle%s: skipped (%s)"
-                                 % (where, block["skipped"]))
-                    continue
-                outcome = ("reducible" if block["reducible"]
-                           else "no obstruction up to degree %d" % block["bound"])
-                lines.append("oracle%s [bound %d]: %s"
-                             % (where, block["bound"], outcome))
-                for wit in block["witnesses"]:
-                    lines.append("  %s: dim %d"
-                                 % (wit["weight"], wit["dimension"]))
-                    for vec in wit["vectors"]:
-                        lines.append("    vector: %s" % vec)
-
-    elif command == "cosets":
-        lines.append("group: %s" % payload["group"])
-        lines.append("I: %s" % payload["I"])
-        lines.append("J: %s" % payload["J"])
-        lines.append("")
-        lines.append("group order: %d" % payload["group_order"])
-        lines.append("double cosets: %d" % payload["coset_count"])
-        for k, row in enumerate(payload["cosets"], 1):
-            lines.append("  [%d] representative = %s, length = %d, size = %d"
-                         % (k, row["representative"], row["length"],
-                            row["size"]))
-
-    elif command == "partition":
-        lines.append("group: %s" % payload["group"])
-        lines.append("I: %s" % payload["I"])
-        lines.append("w: %s" % payload["w"])
-        lines.append("")
-        lines.append("roots with w^-1(alpha) > 0: [%s]"
-                     % ", ".join(payload["plus"]))
-        lines.append("roots with w^-1(alpha) < 0: [%s]"
-                     % ", ".join(payload["minus"]))
-
-    elif command == "weights":
-        lines.append("group: %s" % payload["group"])
-        lines.append("lambda: %s" % _fmt_weight(payload["lambda"]))
-        lines.append("height bound: %d" % payload["height_bound"])
-        lines.append("")
-        lines.append("weight-space dimensions at lambda - nu:")
-        for row in payload["rows"]:
-            lines.append("  nu = %s (height %d): dim %d"
-                         % (row["nu"], row["height"], row["dimension"]))
-
-    elif command == "mahler":
-        lines.append("p: %d" % payload["p"])
-        lines.append("d: %d" % payload["d"])
-        lines.append("grid degree: %d" % payload["degree"])
-        lines.append("monomial exponents: %s" % payload["monomial"])
-        lines.append("")
-        lines.append("mahler coefficients (degree bound %d):"
-                     % payload["degree_bound"])
-        for row in payload["coefficients"]:
-            lines.append("  n = %s: c = %s" % (row["n"], _fmt(row["c"])))
-
-    elif command == "norm":
-        lines.append("p: %d" % payload["p"])
-        lines.append("d: %d" % payload["d"])
-        lines.append("t: %s" % _fmt(payload["t"]))
-        lines.append("tau: [%s]" % ", ".join(_fmt(x) for x in payload["tau"]))
-        lines.append("")
-        lines.append("series terms (degree bound %d):" % payload["degree_bound"])
-        for row in payload["terms"]:
-            lines.append("  n = %s: d_n = %s" % (row["n"], _fmt(row["c"])))
-        lines.append("exponent: %s" % _fmt(payload["exponent"]))
-        lines.append("norm: %s" % payload["norm"])
-
-    _text_provenance(payload, lines)
     return "\n".join(lines) + "\n"
 
 
@@ -855,27 +787,18 @@ def main(argv=None) -> int:
     parser.add_argument("--version", action="version",
                         version="laps " + __version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "check": "run the simplicity criterion (and optional oracle)",
-        "cosets": "enumerate parabolic double cosets",
-        "partition": "split roots by the sign of w^-1(alpha)",
-        "weights": "tabulate weight-space dimensions",
-        "mahler": "expand a monomial in the binomial basis",
-        "norm": "evaluate the weighted Gauss norm of a series",
-    }
-    for name in ("check", "cosets", "partition", "weights", "mahler", "norm"):
-        cmd = sub.add_parser(name, help=helps[name])
+    for name, spec in _COMMANDS.items():
+        cmd = sub.add_parser(name, help=spec.help)
         cmd.add_argument("--config", required=True, metavar="PATH",
                          help="path to the problem config file")
         cmd.add_argument("--format", choices=("text", "machine"),
                          default="text", help="report format")
-        if name == "check":
-            cmd.add_argument("--variant",
-                             choices=(DELTA_ONLY, ALL_POSITIVE, "both"),
-                             help="criterion variant (overrides the config)")
-            cmd.add_argument("--oracle-bound", type=int, dest="oracle_bound",
-                             metavar="N",
-                             help="enable the oracle with this degree bound")
+    check = sub.choices["check"]
+    check.add_argument("--variant", choices=(DELTA_ONLY, ALL_POSITIVE, "both"),
+                       help="criterion variant (overrides the config)")
+    check.add_argument("--oracle-bound", type=int, dest="oracle_bound",
+                       metavar="N",
+                       help="enable the oracle with this degree bound")
     args = parser.parse_args(argv)
 
     try:
@@ -906,10 +829,8 @@ def main(argv=None) -> int:
         print("laps: resource limit: %s" % exc, file=sys.stderr)
         return 2
 
-    if args.format == "machine":
-        sys.stdout.write(render_machine(report))
-    else:
-        sys.stdout.write(render_text(report))
+    render = render_machine if args.format == "machine" else render_text
+    sys.stdout.write(render(report))
     return 0
 
 

@@ -39,7 +39,6 @@ def mat_scale(c, x: Matrix) -> Matrix:
 
 
 def mat_mul(x: Matrix, y: Matrix) -> Matrix:
-    size = len(x)
     yt = tuple(zip(*y))
     return tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in yt)
                  for row in x)

@@ -20,12 +20,33 @@ INF = float("inf")
 Index = Tuple[int, ...]
 
 
+# Strong-probable-prime tests to the first 13 prime bases decide primality
+# exactly for every n below _PRIME_BOUND (Sorenson and Webster 2017).
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_BOUND = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for q in range(2, math.isqrt(n) + 1):
-        if n % q == 0:
+    """Deterministic Miller-Rabin. From _PRIME_BOUND on, a number that no
+    base shows composite is not certified and raises ValueError."""
+    if n < 2 or any(n % q == 0 for q in _PRIME_BASES):
+        return n in _PRIME_BASES
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
+    if n >= _PRIME_BOUND:
+        raise ValueError("cannot certify %d as prime: the deterministic test "
+                         "is exact only below %d" % (n, _PRIME_BOUND))
     return True
 
 
@@ -198,7 +219,7 @@ def _grid_table(d: int, f, bound: int) -> Dict[Index, Fraction]:
     table = {}
     for pt in points:
         if callable(f):
-            value = f(*pt) if d > 1 else f(pt[0])
+            value = f(*pt)
         else:
             try:
                 value = f[pt]

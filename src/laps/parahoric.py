@@ -204,17 +204,10 @@ def iwahori_root_partition(rs: RootSystem, I, w: WeylElement):
     idx = set(_normalize_indices(rs.rank, I))
     w_inv = invert(rs, w)
     all_roots = [r for beta in rs.positive_roots for r in (beta, -beta)]
-    kept = _reduced_roots(rs, [
-        r for r in all_roots
-        if not all(c == 0 or (k + 1) in idx for k, c in enumerate(r.coords))
-    ])
+    kept = [r for r in all_roots
+            if not all(c == 0 or (k + 1) in idx for k, c in enumerate(r.coords))]
     plus, minus = [], []
     for r in kept:
         (plus if w_inv.apply(r).sign > 0 else minus).append(r)
     key = lambda r: r.coords
     return tuple(sorted(plus, key=key)), tuple(sorted(minus, key=key))
-
-
-def _reduced_roots(rs: RootSystem, roots):
-    """Reduced-subsystem filter hook; identity for split reduced data."""
-    return list(roots)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Tuple, Union
 
@@ -140,6 +140,8 @@ class RootSystem:
     cartan_matrix: Tuple[Tuple[int, ...], ...]
     symmetrizer: Tuple[int, ...]
     positive_roots: Tuple[Root, ...]
+    # Coordinates of every root, positive and negative, for is_root.
+    root_coords: frozenset = field(compare=False, hash=False, repr=False)
 
     def simple_root(self, i: int) -> Root:
         """The i-th simple root, 1-based."""
@@ -152,16 +154,7 @@ class RootSystem:
         return tuple(self.simple_root(i) for i in range(1, self.rank + 1))
 
     def is_root(self, root: Root) -> bool:
-        return root.coords in _root_coord_set(self)
-
-
-@functools.lru_cache(maxsize=None)
-def _root_coord_set(rs: RootSystem) -> frozenset:
-    out = set()
-    for r in rs.positive_roots:
-        out.add(r.coords)
-        out.add((-r).coords)
-    return frozenset(out)
+        return root.coords in self.root_coords
 
 
 def _validate_type(type_label: str, rank: int) -> None:
@@ -253,7 +246,7 @@ def build_root_system(type_label: str, rank: int) -> RootSystem:
     _validate_type(type_label, rank)
     cartan = _cartan_matrix(type_label, rank)
     sym = _symmetrizer(cartan)
-    rs = RootSystem(type_label, rank, cartan, sym, ())
+    rs = RootSystem(type_label, rank, cartan, sym, (), frozenset())
 
     roots = {r.coords for r in rs.simple_roots}
     frontier = set(roots)
@@ -268,7 +261,8 @@ def build_root_system(type_label: str, rank: int) -> RootSystem:
         frontier = new
     positive = sorted((Root(c) for c in roots if Root(c).sign > 0),
                       key=lambda r: (r.height, r.coords))
-    return RootSystem(type_label, rank, cartan, sym, tuple(positive))
+    return RootSystem(type_label, rank, cartan, sym, tuple(positive),
+                      frozenset(roots))
 
 
 def weight_of_root(rs: RootSystem, root: Root) -> Weight:

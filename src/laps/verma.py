@@ -416,8 +416,7 @@ class OracleReport:
         return bool(self.witnesses)
 
 
-def simplicity_oracle(module: VermaModule, degree_bound: int = None,
-                      cap: int = ORACLE_CAP) -> OracleReport:
+def simplicity_oracle(module: VermaModule, degree_bound: int = None) -> OracleReport:
     """Scan the weights lam - sum n_beta beta with sum n_beta <= bound for
     singular vectors.
 
@@ -433,9 +432,9 @@ def simplicity_oracle(module: VermaModule, degree_bound: int = None,
             degree_bound = _ORACLE_DEFAULT_SCAN
     if degree_bound < 0:
         raise ValueError("degree bound must be nonnegative")
-    if degree_bound > cap:
+    if degree_bound > ORACLE_CAP:
         raise ResourceLimitError("oracle bound %d exceeds the safety cap %d"
-                                 % (degree_bound, cap))
+                                 % (degree_bound, ORACLE_CAP))
 
     rank = module._rs.rank
     order = module.pbw_order
@@ -455,10 +454,8 @@ def simplicity_oracle(module: VermaModule, degree_bound: int = None,
 
     witnesses = []
     for nu in sorted(seen, key=lambda c: (sum(c), c)):
-        nu_wt = Weight(tuple(Fraction(sum(module._rs.cartan_matrix[i][j] * nu[j]
-                                          for j in range(rank)))
-                             for i in range(rank)))
-        vecs = singular_vectors(module, module.lam - nu_wt)
+        mu = module.lam - weight_of_root(module._rs, Root(nu))
+        vecs = singular_vectors(module, mu)
         if vecs:
             witnesses.append((nu, vecs))
     return OracleReport(degree_bound, tuple(witnesses))

@@ -8,9 +8,11 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from laps import ConfigError
-from laps.cli import main, parse_config, render_machine, render_text, run
+from laps.cli import (ProblemConfig, main, parse_config, render_machine,
+                      render_text, run)
 
 GL2_GOOD = """\
 # a smooth character pair
@@ -138,11 +140,55 @@ def test_parse_violations_sorted_by_line():
     ("group = ResScalars(GL2, 2)\nc = [[1/2, 0]]\n", "expected 2"),
     ("group = A2\nlambda = [1/0, 0]\n", "Fraction(1, 0)"),
     ("group = A2\nlambda = [0, 0\n", "unterminated"),
+    ("group = A2\nI = [1/0]\n", "line 2: Fraction(1, 0)"),
+    ("d = 1\nmonomial = [1/0]\n", "line 2: Fraction(1, 0)"),
+    ("group =\n", "line 1: empty value for 'group'"),
+    ("group = A2\nlambda = [[0], 0]\n", "must be a flat bracketed list"),
+    ("d = 1/2\n", "expected an integer, got 1/2"),
+    ("height_bound = 0\n", "height_bound must be at least 1"),
+    ("d = 0\n", "d must be at least 1"),
+    ("degree = -1\n", "degree must be at least 0"),
+    ("group = A2\nJ = [3]\n", "J entry out of range 1..2"),
+    ("monomial = [-1]\n", "monomial exponents must be nonnegative"),
+    ("d = 2\ntau = [1]\n", "tau arity 1 does not match d = 2"),
+    ("group = ResScalars(GL2, 1)\nc = [[1, 2, 3]]\n",
+     "each exponent pair must have exactly 2 entries"),
+    ("d = 1\nterms = [1, 2]\n", "terms must be a list of"),
+    ("d = 1\nterms = [[-1, 1]]\n", "term indices must be nonnegative"),
+    ("group = A2\nlambda = [0, 0] 1\n", "trailing content"),
+    ("group = A2\nlambda = [0 0]\n", "expected ',' or ']'"),
+    ("group = A2\nlambda = [0,\n", "unexpected end of list"),
 ])
 def test_parse_rejections(text, needle):
     with pytest.raises(ConfigError) as err:
         _cfg(text)
     assert any(needle in v for v in err.value.violations)
+
+
+_KEYS = ("group", "c", "lambda", "variant", "oracle", "oracle_bound", "I",
+         "J", "w", "height_bound", "p", "d", "degree", "monomial", "t",
+         "tau", "terms")
+_ATOMS = st.one_of(
+    st.fractions().map(str), st.integers(-5, 5).map(str), st.text(max_size=6),
+    st.sampled_from(["generic", "1/0", "A2", "B3", "GL2", "ResScalars(GL2, 2)",
+                     "true", "both", "2305843009213693951"]))
+_VALUES = st.recursive(
+    _ATOMS, lambda inner: st.lists(inner, max_size=4).map(
+        lambda items: "[" + ", ".join(items) + "]"), max_leaves=12)
+_LINES = st.one_of(
+    st.tuples(st.sampled_from(_KEYS), _VALUES).map(
+        lambda kv: "%s = %s" % kv),
+    st.text(max_size=20))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_LINES, max_size=8))
+def test_parse_config_returns_config_or_config_error(lines):
+    try:
+        cfg = parse_config("\n".join(lines))
+    except ConfigError:
+        return
+    assert isinstance(cfg, ProblemConfig)
 
 
 # -- check payloads ----------------------------------------------------------
@@ -353,6 +399,29 @@ def test_main_config_error_exits_one(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "laps: config error: line 2: unknown key 'flavour'" in err
     assert err.index("line 2") < err.index("line 3")
+
+
+def test_main_zero_denominator_index_is_config_error(tmp_path, capsys):
+    path = _write(tmp_path, "group = A2\nI = [1/0]\n")
+    assert main(["cosets", "--config", path]) == 1
+    err = capsys.readouterr().err
+    assert err == "laps: config error: line 2: Fraction(1, 0)\n"
+
+
+def test_main_deep_nesting_is_config_error(tmp_path, capsys):
+    path = _write(tmp_path, "group = A2\nlambda = %s%s\n" % ("[" * 3000,
+                                                            "]" * 3000))
+    assert main(["check", "--config", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("laps: config error: line 2:")
+    assert "Traceback" not in err
+
+
+def test_main_mahler_large_prime(tmp_path, capsys):
+    path = _write(tmp_path, "p = %d\nd = 1\ndegree = 2\nmonomial = [2]\n"
+                  % (2 ** 61 - 1))
+    assert main(["mahler", "--config", path]) == 0
+    assert "p: 2305843009213693951" in capsys.readouterr().out
 
 
 def test_main_resource_limit_exits_two(tmp_path, capsys):

@@ -26,6 +26,24 @@ def test_is_prime_small_values():
         assert is_prime(n) == (n in primes)
 
 
+def test_is_prime_agrees_with_trial_division():
+    for n in range(10 ** 5):
+        expected = n >= 2 and all(n % q for q in range(2, math.isqrt(n) + 1))
+        assert is_prime(n) == expected, n
+
+
+def test_is_prime_large_values():
+    assert is_prime(2 ** 61 - 1)
+    # 149491 * 747451 * 34233211, a strong pseudoprime to the bases 2..23.
+    assert 149491 * 747451 * 34233211 == 3825123056546413051
+    assert not is_prime(3825123056546413051)
+    # Above the deterministic range a base still proves compositeness ...
+    assert not is_prime((2 ** 61 - 1) * (2 ** 31 - 1))
+    # ... but a number that passes every base is not certified.
+    with pytest.raises(ValueError, match="cannot certify"):
+        is_prime(2 ** 89 - 1)
+
+
 def test_rational_valuation():
     assert rational_valuation(3, Fraction(9)) == 2
     assert rational_valuation(3, Fraction(1, 3)) == -1
