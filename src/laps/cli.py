@@ -25,11 +25,10 @@ from .padic import (INF, dist_series, is_prime, mahler_coefficients, r_norm,
                     RNormParam)
 from .parahoric import (ParabolicType, build_weyl_group, double_cosets,
                         iwahori_root_partition, weyl_element)
-from .roots import (GENERIC, Generic, Root, Weight, build_root_system,
-                    weight_of_root)
+from .roots import GENERIC, Generic, Root, Weight, build_root_system
 from .verma import (ALL_POSITIVE, DELTA_ONLY, VARIANTS, VermaModule,
-                    bgg_criterion, character_weight, simplicity_oracle,
-                    weight_space_basis)
+                    bgg_criterion, character_weight, kostant_partitions,
+                    simplicity_oracle)
 
 _GROUP_RE = re.compile(r"([A-G])([1-9])")
 _RESSCALARS_RE = re.compile(r"ResScalars\(\s*GL2\s*,\s*([1-9]\d*)\s*\)")
@@ -108,14 +107,37 @@ def _tokenize_list(s: str):
             return value
 
 
+# Every number must print, so numerators and denominators are held to
+# Python's default integer-string limit. A decimal exponent of five or more
+# digits breaks that limit for any nonzero mantissa, and is refused before
+# Fraction builds 10**exponent.
+_MAX_DIGITS = 4300
+_NUMBER_CAP = 10 ** _MAX_DIGITS
+_TOO_LARGE = ("number exceeds %d digits in numerator or denominator"
+              % _MAX_DIGITS)
+_EXPONENT_RE = re.compile(r"[eE][-+]?([\d_]+)\Z")
+
+
+def _number(s: str) -> Fraction:
+    """The parser of every numeric atom: a Fraction literal whose numerator
+    and denominator have at most _MAX_DIGITS digits."""
+    exponent = _EXPONENT_RE.search(s)
+    if exponent and len(exponent.group(1).replace("_", "").lstrip("0")) > 4:
+        raise ValueError(_TOO_LARGE)
+    f = Fraction(s)
+    if max(abs(f.numerator), f.denominator) >= _NUMBER_CAP:
+        raise ValueError(_TOO_LARGE)
+    return f
+
+
 def _entry_atom(s: str):
     if s == "generic":
         return GENERIC
-    return Fraction(s)
+    return _number(s)
 
 
 def _int_atom(s: str) -> int:
-    f = Fraction(s)
+    f = _number(s)
     if f.denominator != 1:
         raise ValueError("expected an integer, got %s" % s)
     return int(f)
@@ -233,14 +255,14 @@ def _parse_monomial(key, value, cfg):
 
 
 def _parse_t(key, value, cfg):
-    t = Fraction(value)
+    t = _number(value)
     if not 0 < t < 1:
         raise ValueError("t must satisfy 0 < t < 1, got %s" % t)
     return t
 
 
 def _parse_tau(key, value, cfg):
-    tau = _flat(_tokenize_list(value), Fraction, key)
+    tau = _flat(_tokenize_list(value), _number, key)
     if any(x <= 0 for x in tau):
         raise ValueError("tau entries must be positive")
     if cfg.d is not None and len(tau) != cfg.d:
@@ -265,7 +287,7 @@ def _parse_terms(key, value, cfg):
         index = tuple(_int_atom(x) for x in row[:-1])
         if any(x < 0 for x in index):
             raise ValueError("term indices must be nonnegative")
-        rows.append((index, Fraction(row[-1])))
+        rows.append((index, _number(row[-1])))
     return tuple(rows)
 
 
@@ -531,24 +553,22 @@ def _run_partition(cfg: ProblemConfig) -> dict:
 
 
 def _run_weights(cfg: ProblemConfig) -> dict:
+    # dim M(lam)_{lam - nu} is the Kostant partition count of nu for every lam.
     rs = build_root_system(cfg.type_label, cfg.rank)
     lam = Weight(cfg.lam if cfg.lam is not None
                  else (Fraction(0),) * cfg.rank)
     if not lam.is_rational():
         raise ConfigError(["weights requires a rational lambda"])
-    module = VermaModule(realize(rs), lam)
-    rows = []
+    if len(lam.pairings) != rs.rank:
+        raise ValueError("weight arity %d does not match rank %d"
+                         % (len(lam.pairings), rs.rank))
     bound = cfg.height_bound
-    coords = [()]
-    for _ in range(cfg.rank):
-        coords = [prefix + (k,) for prefix in coords for k in range(bound + 1)]
-    for nu in sorted(coords, key=lambda c: (sum(c), c)):
-        if sum(nu) > bound:
-            continue
-        mu = lam - weight_of_root(rs, Root(nu)) if any(nu) else lam
-        dim = len(weight_space_basis(module, mu))
-        rows.append({"nu": str(Root(nu)), "height": sum(nu),
-                     "dimension": dim})
+    nus = [()]
+    for _ in range(rs.rank):
+        nus = [nu + (k,) for nu in nus for k in range(bound + 1 - sum(nu))]
+    rows = [{"nu": str(Root(nu)), "height": sum(nu),
+             "dimension": len(kostant_partitions(rs, nu))}
+            for nu in sorted(nus, key=lambda c: (sum(c), c))]
     return {
         "group": cfg.group_text,
         "lambda": [_fmt(x) for x in lam.pairings],

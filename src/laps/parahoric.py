@@ -1,8 +1,8 @@
 """Weyl group combinatorics: double cosets and Iwahori root partitions.
 
 Elements act on simple-root coordinates by integer matrices; the reduced
-word stored on each element is recomputed canonically by descent, so
-equality of elements is equality of matrices.
+word stored on each element is the canonical one (smallest right descent
+last), so equality of elements is equality of matrices.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, Tuple
 
 from .errors import ResourceLimitError
+from .lie import mat_mul
 from .roots import Root, RootSystem
 
 IntMatrix = Tuple[Tuple[int, ...], ...]
@@ -69,12 +70,6 @@ def _identity(rank: int) -> IntMatrix:
     return tuple(tuple(1 if i == j else 0 for j in range(rank)) for i in range(rank))
 
 
-def _mat_mul(x: IntMatrix, y: IntMatrix) -> IntMatrix:
-    yt = tuple(zip(*y))
-    return tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in yt)
-                 for row in x)
-
-
 def simple_reflection_matrix(rs: RootSystem, i: int) -> IntMatrix:
     """Matrix of s_i on simple-root coordinates, 1-based index."""
     if not 1 <= i <= rs.rank:
@@ -98,7 +93,7 @@ def _descent_word(rs: RootSystem, matrix: IntMatrix) -> Tuple[int, ...]:
         else:
             raise ValueError("matrix is not a Weyl group element")
         suffix.append(i + 1)
-        m = _mat_mul(m, gens[i])
+        m = mat_mul(m, gens[i])
         if len(suffix) > len(rs.positive_roots):
             raise ValueError("matrix is not a Weyl group element")
     return tuple(reversed(suffix))
@@ -108,12 +103,12 @@ def weyl_element(rs: RootSystem, word: Iterable[int]) -> WeylElement:
     """Element from any word in the generators; the stored word is canonical."""
     m = _identity(rs.rank)
     for i in word:
-        m = _mat_mul(m, simple_reflection_matrix(rs, i))
+        m = mat_mul(m, simple_reflection_matrix(rs, i))
     return WeylElement(m, _descent_word(rs, m))
 
 
 def multiply(rs: RootSystem, a: WeylElement, b: WeylElement) -> WeylElement:
-    m = _mat_mul(a.matrix, b.matrix)
+    m = mat_mul(a.matrix, b.matrix)
     return WeylElement(m, _descent_word(rs, m))
 
 
@@ -122,16 +117,18 @@ def invert(rs: RootSystem, a: WeylElement) -> WeylElement:
 
 
 def build_weyl_group(rs: RootSystem, cap: int = WEYL_ORDER_CAP) -> Tuple[WeylElement, ...]:
-    """The whole Weyl group by breadth-first closure, sorted by (length, word)."""
+    """The whole Weyl group by breadth-first closure, sorted by (length, word).
+    With the generators as the outer loop, each element is first reached
+    through its smallest right descent, so its word is the canonical one."""
     gens = [simple_reflection_matrix(rs, i) for i in range(1, rs.rank + 1)]
     ident = _identity(rs.rank)
     seen: Dict[IntMatrix, Tuple[int, ...]] = {ident: ()}
     frontier = [ident]
     while frontier:
         new = []
-        for m in frontier:
-            for i, g in enumerate(gens, start=1):
-                prod = _mat_mul(m, g)
+        for i, g in enumerate(gens, start=1):
+            for m in frontier:
+                prod = mat_mul(m, g)
                 if prod not in seen:
                     seen[prod] = seen[m] + (i,)
                     new.append(prod)
@@ -139,7 +136,7 @@ def build_weyl_group(rs: RootSystem, cap: int = WEYL_ORDER_CAP) -> Tuple[WeylEle
                         raise ResourceLimitError(
                             "Weyl group exceeds the cap of %d elements" % cap)
         frontier = new
-    elements = [WeylElement(m, _descent_word(rs, m)) for m in seen]
+    elements = [WeylElement(m, word) for m, word in seen.items()]
     return tuple(sorted(elements, key=lambda w: (w.length, w.word)))
 
 
@@ -176,12 +173,12 @@ def double_cosets(group: Tuple[WeylElement, ...], I, J) -> DoubleCosetDecomposit
             new = []
             for m in frontier:
                 for g in left:
-                    cand = _mat_mul(g, m)
+                    cand = mat_mul(g, m)
                     if cand not in orbit:
                         orbit.add(cand)
                         new.append(cand)
                 for g in right:
-                    cand = _mat_mul(m, g)
+                    cand = mat_mul(m, g)
                     if cand not in orbit:
                         orbit.add(cand)
                         new.append(cand)

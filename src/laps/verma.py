@@ -350,50 +350,55 @@ def act_generator(module: VermaModule, gen: str, vec: PBWVector) -> PBWVector:
     return PBWVector(module._mul_key(key, vec.terms))
 
 
-def weight_space_basis(module: VermaModule, mu: Weight) -> Tuple[Coords, ...]:
-    """All monomial exponents of weight mu, in ascending lexicographic order."""
+def kostant_partitions(rs: RootSystem, nu: Coords) -> Tuple[Coords, ...]:
+    """Kostant partitions of nu (simple-root coordinates): the exponent
+    tuples over rs.positive_roots, the PBW order, with sum n_beta * beta =
+    nu, in ascending lexicographic order. They are the monomials spanning
+    the weight space lam - nu of every M(lam)."""
+    def partitions(roots, rem):
+        if not roots:
+            return [] if any(rem) else [()]
+        beta = roots[0].coords
+        cap = min((r // c for r, c in zip(rem, beta) if c > 0), default=0)
+        return [(mult,) + rest for mult in range(cap + 1)
+                for rest in partitions(roots[1:], tuple(
+                    r - mult * c for r, c in zip(rem, beta)))]
+
+    return tuple(partitions(rs.positive_roots, tuple(nu)))
+
+
+def _depth(module: VermaModule, mu: Weight):
+    """nu in Q+ (simple-root coordinates) with mu = lam - nu, or None."""
     if not mu.is_rational():
         raise ValueError("weight space lookup needs a rational weight")
-    diff = module.lam - mu
     cartan = [[Fraction(x) for x in row] for row in module._rs.cartan_matrix]
     try:
-        coords = linalg.solve_unique(cartan, list(diff.pairings))
+        coords = linalg.solve_unique(cartan, list((module.lam - mu).pairings))
     except ValueError:
-        return ()
+        return None
     if any(x.denominator != 1 or x < 0 for x in coords):
-        return ()
-    target = [int(x) for x in coords]
+        return None
+    return tuple(int(x) for x in coords)
 
-    order = module.pbw_order
-    found = []
 
-    def descend(k, remaining, prefix):
-        if k == len(order):
-            if all(x == 0 for x in remaining):
-                found.append(tuple(prefix))
-            return
-        beta = order[k].coords
-        cap = min((rem // c for rem, c in zip(remaining, beta) if c > 0),
-                  default=0)
-        for mult in range(cap + 1):
-            descend(k + 1,
-                    [rem - mult * c for rem, c in zip(remaining, beta)],
-                    prefix + [mult])
-
-    descend(0, target, [])
-    return tuple(sorted(found))
+def weight_space_basis(module: VermaModule, mu: Weight) -> Tuple[Coords, ...]:
+    """All monomial exponents of weight mu, in ascending lexicographic order."""
+    nu = _depth(module, mu)
+    return () if nu is None else kostant_partitions(module._rs, nu)
 
 
 def singular_vectors(module: VermaModule, mu: Weight) -> Tuple[PBWVector, ...]:
     """Basis of the space of vectors of weight mu killed by every e_i."""
-    basis = weight_space_basis(module, mu)
-    if not basis:
+    nu = _depth(module, mu)
+    if nu is None:
         return ()
-    rank = module._rs.rank
+    basis = kostant_partitions(module._rs, nu)
     rows = []
-    for i in range(rank):
-        alpha_wt = weight_of_root(module._rs, module._rs.simple_root(i + 1))
-        target = weight_space_basis(module, mu + alpha_wt)
+    for i in range(module._rs.rank):
+        if nu[i] == 0:  # lam - nu + alpha_i is not a weight of M(lam)
+            continue
+        target = kostant_partitions(module._rs,
+                                    nu[:i] + (nu[i] - 1,) + nu[i + 1:])
         images = [module._act_key(("e", i), mono) for mono in basis]
         for mono in target:
             rows.append([img.get(mono, Fraction(0)) for img in images])

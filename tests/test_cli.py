@@ -4,7 +4,9 @@ payloads for every subcommand, deterministic rendering, and exit codes.
 main() is driven in-process with explicit argv lists; no subprocesses.
 """
 
+import itertools
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -158,6 +160,14 @@ def test_parse_violations_sorted_by_line():
     ("group = A2\nlambda = [0, 0] 1\n", "trailing content"),
     ("group = A2\nlambda = [0 0]\n", "expected ',' or ']'"),
     ("group = A2\nlambda = [0,\n", "unexpected end of list"),
+    ("group = A2\nlambda = [1e5000, 0]\n",
+     "line 2: number exceeds 4300 digits in numerator or denominator"),
+    ("group = A2\nlambda = [1e-4300, 0]\n", "line 2: number exceeds"),
+    ("group = GL2\nc = [0, 1e99999]\n", "line 2: number exceeds"),
+    ("group = A2\nI = [1e10000]\n", "line 2: number exceeds"),
+    ("t = 1e-5000\n", "line 1: number exceeds"),
+    ("d = 1\ntau = [1e5000]\n", "line 2: number exceeds"),
+    ("d = 1\nterms = [[0, 1e5000]]\n", "line 2: number exceeds"),
 ])
 def test_parse_rejections(text, needle):
     with pytest.raises(ConfigError) as err:
@@ -310,6 +320,75 @@ def test_weights_payload():
     assert heights == sorted(heights)
 
 
+# Positive roots in simple-root coordinates (CONVENTIONS.md: in B the last
+# simple root is short; in D4 the second node is the branch node).
+_B3_ROOTS = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1),
+             (1, 1, 1), (0, 1, 2), (1, 1, 2), (1, 2, 2))
+_D4_ROOTS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
+             (1, 1, 0, 0), (0, 1, 1, 0), (0, 1, 0, 1), (1, 1, 1, 0),
+             (1, 1, 0, 1), (0, 1, 1, 1), (1, 1, 1, 1), (1, 2, 1, 1))
+
+
+def _coin_change_counts(roots, height):
+    """Kostant partition counts of every nu with ht nu <= height: the ways
+    to make nu from positive roots used any number of times."""
+    rank = len(roots[0])
+    box = sorted((nu for nu in itertools.product(range(height + 1),
+                                                 repeat=rank)
+                  if sum(nu) <= height), key=sum)
+    counts = dict.fromkeys(box, 0)
+    counts[(0,) * rank] = 1
+    for beta in roots:
+        for nu in box:  # by height, so nu - beta already counts beta
+            rest = tuple(a - b for a, b in zip(nu, beta))
+            if rest in counts:
+                counts[nu] += counts[rest]
+    return counts
+
+
+def _nu_text(nu):
+    return "+".join("a%d" % i if c == 1 else "%da%d" % (c, i)
+                    for i, c in enumerate(nu, 1) if c) or "0"
+
+
+@pytest.mark.parametrize("group,roots,height", [
+    ("B3", _B3_ROOTS, 4), ("D4", _D4_ROOTS, 3),
+])
+def test_weights_are_kostant_counts(group, roots, height):
+    text = "group = %s\nheight_bound = %d\n" % (group, height)
+    payload = run(_cfg(text), "weights").payload
+    expected = {_nu_text(nu): n
+                for nu, n in _coin_change_counts(roots, height).items()}
+    got = {row["nu"]: row["dimension"] for row in payload["rows"]}
+    assert len(got) == len(payload["rows"])
+    assert got == expected
+
+
+def test_main_weights_g2(tmp_path, capsys):
+    # Positive roots a1, a2, a1+a2, 2a1+a2, 3a1+a2, 3a1+2a2; e.g. 2a1+a2 is
+    # the root itself, a1 + (a1+a2), or a1 + a1 + a2.
+    path = _write(tmp_path, "group = G2\nlambda = [0, 0]\nheight_bound = 3\n")
+    assert main(["weights", "--config", path, "--format", "machine"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [(row["nu"], row["dimension"]) for row in rows] == [
+        ("0", 1), ("a2", 1), ("a1", 1), ("2a2", 1), ("a1+a2", 2), ("2a1", 1),
+        ("3a2", 1), ("a1+2a2", 2), ("2a1+a2", 3), ("3a1", 1)]
+
+
+@pytest.mark.parametrize("text,message", [
+    ("group = GL2\nlambda = [0, 0, 0]\nheight_bound = 2\n",
+     "laps: error: weight arity 3 does not match rank 1\n"),
+    ("group = ResScalars(GL2, 2)\nlambda = [0, 0]\nheight_bound = 2\n",
+     "laps: error: weight arity 2 does not match rank 1\n"),
+    ("group = A2\nlambda = [generic, 0]\nheight_bound = 2\n",
+     "laps: config error: weights requires a rational lambda\n"),
+])
+def test_main_weights_rejects_lambda(tmp_path, capsys, text, message):
+    path = _write(tmp_path, text)
+    assert main(["weights", "--config", path]) == 1
+    assert capsys.readouterr().err == message
+
+
 def test_mahler_payload():
     text = "p = 3\nd = 1\ndegree = 3\nmonomial = [2]\n"
     payload = run(_cfg(text), "mahler").payload
@@ -415,6 +494,29 @@ def test_main_deep_nesting_is_config_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("laps: config error: line 2:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command,text,line", [
+    ("check", "group = A2\nlambda = [1e5000, 0]\n", 2),
+    ("weights", "group = A2\nlambda = [1e5000, 0]\nheight_bound = 2\n", 2),
+    ("norm", "p = 3\nd = 1\nt = 1/2\ntau = [1]\nterms = [[0, 1e5000]]\n", 5),
+])
+def test_main_oversized_number_is_config_error(tmp_path, capsys, command,
+                                               text, line):
+    path = _write(tmp_path, text)
+    assert main([command, "--config", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("laps: config error: line %d: number exceeds "
+                            "4300 digits in numerator or denominator\n" % line)
+
+
+def test_main_huge_exponent_is_refused_quickly(tmp_path, capsys):
+    path = _write(tmp_path, "group = A2\nlambda = [1e10000000, 0]\n")
+    start = time.perf_counter()
+    assert main(["check", "--config", path]) == 1
+    assert time.perf_counter() - start < 1.0
+    assert "line 2: number exceeds" in capsys.readouterr().err
 
 
 def test_main_mahler_large_prime(tmp_path, capsys):

@@ -18,10 +18,12 @@ from laps import (ParabolicType, ResourceLimitError, Root, build_root_system,
                   weyl_element)
 from laps.parahoric import invert, multiply
 
+# Every type within the rank cap whose group fits under WEYL_ORDER_CAP.
 WEYL_ORDERS = {
-    ("A", 1): 2, ("A", 2): 6, ("A", 3): 24,
-    ("B", 2): 8, ("B", 3): 48, ("C", 2): 8,
-    ("D", 3): 24, ("G", 2): 12,
+    ("A", 1): 2, ("A", 2): 6, ("A", 3): 24, ("A", 4): 120,
+    ("B", 2): 8, ("B", 3): 48, ("B", 4): 384,
+    ("C", 2): 8, ("C", 3): 48, ("C", 4): 384,
+    ("D", 3): 24, ("D", 4): 192, ("G", 2): 12,
 }
 
 
@@ -33,6 +35,17 @@ def test_group_order_closed_forms(label, rank):
     group = build_weyl_group(rs)
     assert len(group) == WEYL_ORDERS[(label, rank)]
     assert len({w.matrix for w in group}) == len(group)
+
+
+@pytest.mark.parametrize("label,rank", sorted(WEYL_ORDERS))
+def test_closure_words_match_descent_words(label, rank):
+    # weyl_element recomputes the canonical word by peeling right descents;
+    # the closure records its words without doing so, and must agree.
+    rs = build_root_system(label, rank)
+    for w in build_weyl_group(rs):
+        again = weyl_element(rs, w.word)
+        assert again.matrix == w.matrix
+        assert again.word == w.word
 
 
 @pytest.mark.parametrize("label,rank", [("A", 2), ("B", 2), ("G", 2)])
