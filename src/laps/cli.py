@@ -28,7 +28,7 @@ from .parahoric import (ParabolicType, build_weyl_group, double_cosets,
 from .roots import GENERIC, Generic, Root, Weight, build_root_system
 from .verma import (ALL_POSITIVE, DELTA_ONLY, VARIANTS, VermaModule,
                     bgg_criterion, character_weight, kostant_partitions,
-                    simplicity_oracle)
+                    oracle_bound, simplicity_oracle)
 
 _GROUP_RE = re.compile(r"([A-G])([1-9])")
 _RESSCALARS_RE = re.compile(r"ResScalars\(\s*GL2\s*,\s*([1-9]\d*)\s*\)")
@@ -503,8 +503,10 @@ def _run_check(cfg: ProblemConfig) -> dict:
             except RealizationError as exc:
                 block["skipped"] = str(exc)
                 continue
+            # Refuse an over-cap bound before the structure tables are built.
+            bound = oracle_bound(rs, lam, cfg.oracle_bound)
             module = VermaModule(algebra, lam)
-            report = simplicity_oracle(module, cfg.oracle_bound)
+            report = simplicity_oracle(module, bound)
             block["bound"] = report.bound
             block["reducible"] = report.reducible
             block["witnesses"] = [{

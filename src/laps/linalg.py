@@ -1,41 +1,52 @@
 """Exact rational Gaussian elimination: nullspace and linear solve.
 
-Deterministic pivoting (first nonzero entry per column, rows in order), all
-arithmetic over fractions.Fraction.
+Rows are eliminated as sparse dicts (column -> nonzero Fraction); a zero
+entry is never stored or touched, which matters because the oracle's
+matrices are mostly zeros. Each incoming row is reduced by the pivot rows
+found so far and, if anything is left, its first nonzero column becomes a
+new pivot that is cleared from the earlier pivot rows. The result is the
+reduced row echelon form, which is unique for the row space, so it does not
+depend on the order rows arrive in or on which pivot is found first.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-Row = List[Fraction]
+SparseRow = Dict[int, Fraction]
 
 
-def _rref(rows: List[Row], ncols: int) -> Tuple[List[Row], List[int]]:
-    mat = [list(r) for r in rows]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for k in range(r, len(mat)):
-            if mat[k][c] != 0:
-                pivot = k
-                break
-        if pivot is None:
+def _axpy(acc: SparseRow, scale: Fraction, row: SparseRow) -> None:
+    """acc += scale * row, dropping entries that cancel."""
+    for c, x in row.items():
+        value = acc.get(c, 0) + scale * x
+        if value:
+            acc[c] = value
+        else:
+            acc.pop(c, None)
+
+
+def _rref(rows: Sequence[Sequence[Fraction]]) -> Dict[int, SparseRow]:
+    """Reduced row echelon form as {pivot column: row}: each row has 1 at
+    its pivot, which is its first nonzero column, and 0 at every other
+    pivot column."""
+    pivots: Dict[int, SparseRow] = {}
+    for dense in rows:
+        row = {c: Fraction(x) for c, x in enumerate(dense) if x != 0}
+        for c in [c for c in row if c in pivots]:
+            _axpy(row, -row[c], pivots[c])
+        if not row:
             continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
-        for k in range(len(mat)):
-            if k != r and mat[k][c] != 0:
-                factor = mat[k][c]
-                mat[k] = [a - factor * b for a, b in zip(mat[k], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return mat, pivots
+        p = min(row)
+        inv = 1 / row[p]
+        row = {c: x * inv for c, x in row.items()}
+        for other in pivots.values():
+            factor = other.get(p)
+            if factor is not None:
+                _axpy(other, -factor, row)
+        pivots[p] = row
+    return pivots
 
 
 def kernel_basis(rows: Sequence[Sequence[Fraction]], ncols: int) -> List[Tuple[Fraction, ...]]:
@@ -47,15 +58,16 @@ def kernel_basis(rows: Sequence[Sequence[Fraction]], ncols: int) -> List[Tuple[F
     for row in rows:
         if len(row) != ncols:
             raise ValueError("row length %d does not match ncols %d" % (len(row), ncols))
-    mat, pivots = _rref([[Fraction(x) for x in row] for row in rows], ncols)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
+    pivots = _rref(rows)
     basis = []
-    for fc in free:
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
         vec = [Fraction(0)] * ncols
         vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -mat[r][fc]
+        for pc, row in pivots.items():
+            if fc in row:
+                vec[pc] = -row[fc]
         basis.append(tuple(vec))
     return basis
 
@@ -68,14 +80,9 @@ def solve_unique(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) ->
     if m == 0:
         return ()
     ncols = len(rows[0])
-    aug = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(rows)]
-    mat, pivots = _rref(aug, ncols)
-    if len(pivots) < ncols:
+    pivots = _rref([list(row) + [rhs[i]] for i, row in enumerate(rows)])
+    if sum(1 for pc in pivots if pc < ncols) < ncols:
         raise ValueError("system is underdetermined")
-    for r in range(len(pivots), m):
-        if mat[r][ncols] != 0:
-            raise ValueError("system is inconsistent")
-    sol = [Fraction(0)] * ncols
-    for r, pc in enumerate(pivots):
-        sol[pc] = mat[r][ncols]
-    return tuple(sol)
+    if ncols in pivots:
+        raise ValueError("system is inconsistent")
+    return tuple(pivots[pc].get(ncols, Fraction(0)) for pc in range(ncols))

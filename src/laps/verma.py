@@ -6,6 +6,12 @@ vectors applied to a highest weight vector. Generators act by commuting
 through the monomial with structure constants read off the matrices, so
 the singular-vector search is an independent check on the criterion.
 
+The oracle scans only the weights linked to lam, the points w.lam of its
+dot-orbit under W: a singular vector generates a highest weight submodule,
+which has lam's central character, so its weight is w.lam for some w
+(Harish-Chandra; Humphreys, BGG Category O, 2008, 1.9-1.10). Every other
+weight has no singular vector, and the theorem does not use the criterion.
+
 Criterion variants: "delta-only" tests witnesses over the simple roots
 only, "all-positive" over every positive root. The two genuinely differ
 (sl3 at pairings (-1/2, -1/2) is the documented disagreement point).
@@ -387,21 +393,22 @@ def weight_space_basis(module: VermaModule, mu: Weight) -> Tuple[Coords, ...]:
     return () if nu is None else kostant_partitions(module._rs, nu)
 
 
-def singular_vectors(module: VermaModule, mu: Weight) -> Tuple[PBWVector, ...]:
-    """Basis of the space of vectors of weight mu killed by every e_i."""
-    nu = _depth(module, mu)
-    if nu is None:
-        return ()
-    basis = kostant_partitions(module._rs, nu)
+def singular_vectors(module: VermaModule, nu: Coords) -> Tuple[PBWVector, ...]:
+    """Basis of the space of vectors of weight lam - nu killed by every e_i,
+    with nu in Q+ given in simple-root coordinates."""
+    rs = module._rs
+    nu = tuple(nu)
+    if len(nu) != rs.rank:
+        raise ValueError("nu arity %d does not match rank %d" % (len(nu), rs.rank))
+    basis = kostant_partitions(rs, nu)
     rows = []
-    for i in range(module._rs.rank):
+    for i in range(rs.rank):
         if nu[i] == 0:  # lam - nu + alpha_i is not a weight of M(lam)
             continue
-        target = kostant_partitions(module._rs,
-                                    nu[:i] + (nu[i] - 1,) + nu[i + 1:])
+        target = kostant_partitions(rs, nu[:i] + (nu[i] - 1,) + nu[i + 1:])
         images = [module._act_key(("e", i), mono) for mono in basis]
         for mono in target:
-            rows.append([img.get(mono, Fraction(0)) for img in images])
+            rows.append([img.get(mono, 0) for img in images])
     kernel = linalg.kernel_basis(rows, len(basis))
     out = []
     for vec in kernel:
@@ -421,16 +428,16 @@ class OracleReport:
         return bool(self.witnesses)
 
 
-def simplicity_oracle(module: VermaModule, degree_bound: int = None) -> OracleReport:
-    """Scan the weights lam - sum n_beta beta with sum n_beta <= bound for
-    singular vectors.
+def oracle_bound(rs: RootSystem, lam: Weight, degree_bound: int = None) -> int:
+    """The oracle's degree bound, refused with ResourceLimitError above
+    ORACLE_CAP.
 
     Without an explicit bound, the criterion's witnesses fix it as
     max n * height(beta) (enough to reach every predicted singular weight);
     a weight the criterion calls simple gets a small confirmation scan.
     """
     if degree_bound is None:
-        crit = bgg_criterion(module._rs, module.lam, ALL_POSITIVE)
+        crit = bgg_criterion(rs, lam, ALL_POSITIVE)
         if crit.witnesses:
             degree_bound = max(n * beta.height for beta, n in crit.witnesses)
         else:
@@ -440,27 +447,81 @@ def simplicity_oracle(module: VermaModule, degree_bound: int = None) -> OracleRe
     if degree_bound > ORACLE_CAP:
         raise ResourceLimitError("oracle bound %d exceeds the safety cap %d"
                                  % (degree_bound, ORACLE_CAP))
+    return degree_bound
 
-    rank = module._rs.rank
-    order = module.pbw_order
-    seen = set()
 
-    def collect(k, budget, acc):
-        if k == len(order):
-            if any(acc):
-                seen.add(tuple(acc))
-            return
-        beta = order[k].coords
-        for mult in range(budget + 1):
-            collect(k + 1, budget - mult,
-                    [a + mult * c for a, c in zip(acc, beta)])
+def _dot_orbit_depths(rs: RootSystem, lam: Weight):
+    """nu = lam - w.lam for every w in W, in simple-root coordinates, by
+    breadth-first search over s_i.mu = mu - (mu(H_i) + 1) alpha_i."""
+    cartan, rank = rs.cartan_matrix, rs.rank
+    start = (Fraction(0),) * rank
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        reached = []
+        for nu in frontier:
+            for i in range(rank):
+                mu_i = lam.pairings[i] - sum(a * x for a, x in zip(cartan[i], nu))
+                step = nu[:i] + (nu[i] + mu_i + 1,) + nu[i + 1:]
+                if step not in seen:
+                    seen.add(step)
+                    reached.append(step)
+        frontier = reached
+    return seen
 
-    collect(0, degree_bound, [0] * rank)
+
+def _within_bound(rs: RootSystem, bound: int):
+    """Predicate on nu in Q+: is nu a sum of at most `bound` positive roots?
+
+    Depth-first over the root that covers nu's first nonzero coordinate
+    (some root in every such sum does), with the sums already known to be
+    out of reach memoised. Every positive root lies below the highest root
+    theta coordinatewise, so nu_i > k * theta_i rules out k roots at once.
+    """
+    theta = rs.positive_roots[-1].coords
+    covering = [[beta.coords for beta in reversed(rs.positive_roots)
+                 if beta.coords[i]] for i in range(rs.rank)]
+    too_few: Dict[Coords, int] = {}
+
+    def fits(nu, k):
+        if not any(nu):
+            return True
+        if too_few.get(nu, -1) >= k or any(x > k * t for x, t in zip(nu, theta)):
+            return False
+        first = next(i for i, x in enumerate(nu) if x)
+        for beta in covering[first]:
+            rest = tuple(x - c for x, c in zip(nu, beta))
+            if min(rest) >= 0 and fits(rest, k - 1):
+                return True
+        too_few[nu] = k
+        return False
+
+    return lambda nu: fits(nu, bound)
+
+
+def simplicity_oracle(module: VermaModule, degree_bound: int = None) -> OracleReport:
+    """Scan the weights lam - nu, nu = sum n_beta beta with sum n_beta <=
+    bound, for singular vectors.
+
+    Only the nu linked to lam (lam - nu in its dot-orbit) are scanned: by
+    Harish-Chandra's theorem no other weight holds a singular vector (see
+    the module docstring). oracle_bound resolves the bound. Witnesses come
+    in (sum(nu), nu) order.
+    """
+    rs = module._rs
+    degree_bound = oracle_bound(rs, module.lam, degree_bound)
+    within = _within_bound(rs, degree_bound)
+    linked = []
+    for nu in _dot_orbit_depths(rs, module.lam):
+        if any(x.denominator != 1 or x < 0 for x in nu) or not any(nu):
+            continue
+        nu = tuple(int(x) for x in nu)
+        if within(nu):
+            linked.append(nu)
 
     witnesses = []
-    for nu in sorted(seen, key=lambda c: (sum(c), c)):
-        mu = module.lam - weight_of_root(module._rs, Root(nu))
-        vecs = singular_vectors(module, mu)
+    for nu in sorted(linked, key=lambda c: (sum(c), c)):
+        vecs = singular_vectors(module, nu)
         if vecs:
             witnesses.append((nu, vecs))
     return OracleReport(degree_bound, tuple(witnesses))

@@ -12,7 +12,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from laps import ConfigError
+from laps import (ALL_POSITIVE, ConfigError, Root, Weight, bgg_criterion,
+                  build_root_system)
 from laps.cli import (ProblemConfig, main, parse_config, render_machine,
                       render_text, run)
 
@@ -531,6 +532,58 @@ def test_main_resource_limit_exits_two(tmp_path, capsys):
     code = main(["check", "--config", path, "--oracle-bound", "15"])
     assert code == 2
     assert "resource limit" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, bound", [
+    ("group = B4\nlambda = [1/7, 1/11, 1/13, 1/17]\noracle_bound = 13\n", 13),
+    # the criterion's witnesses put the default bound at 252
+    ("group = B4\nlambda = [5, 5, 5, 5]\noracle = true\n", 252),
+], ids=["explicit", "criterion"])
+def test_main_over_cap_oracle_bound_refused_quickly(tmp_path, capsys, text, bound):
+    path = _write(tmp_path, text)
+    start = time.perf_counter()
+    assert main(["check", "--config", path]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert "oracle bound %d exceeds the safety cap 12" % bound in err
+
+
+def test_main_oracle_without_linked_weights(tmp_path, capsys):
+    # no point of lam's dot-orbit other than lam lies in lam - Q+
+    path = _write(tmp_path, "group = B4\nlambda = [1/7, 1/11, 1/13, 1/17]\n"
+                            "oracle_bound = 12\n")
+    start = time.perf_counter()
+    assert main(["check", "--config", path]) == 0
+    assert time.perf_counter() - start < 10.0
+    assert "oracle [bound 12]: no obstruction up to degree 12" in capsys.readouterr().out
+
+
+def test_main_oracle_a3_zero_finds_every_linked_weight(tmp_path, capsys):
+    # lam = 0 is dominant integral, so M(w.0) lies in M(0) for all w in W:
+    # |W(A3)| - 1 = 23 singular weights, all within the default bound 9.
+    path = _write(tmp_path, "group = A3\nlambda = [0, 0, 0]\noracle = true\n")
+    start = time.perf_counter()
+    assert main(["check", "--config", path, "--format", "machine"]) == 0
+    assert time.perf_counter() - start < 5.0
+    (block,) = json.loads(capsys.readouterr().out)["oracle"]
+    assert block["bound"] == 9
+    assert len(block["witnesses"]) == 23
+
+
+def test_main_oracle_b3_half_meets_every_criterion_witness(tmp_path, capsys):
+    # a witness (beta, n) gives M(s_beta.lam) in M(lam), at lam - n beta
+    path = _write(tmp_path, "group = B3\nlambda = [-1/2, -1/2, -1/2]\n"
+                            "oracle = true\n")
+    start = time.perf_counter()
+    assert main(["check", "--config", path, "--format", "machine"]) == 0
+    assert time.perf_counter() - start < 5.0
+    rs = build_root_system("B", 3)
+    crit = bgg_criterion(rs, Weight((Fraction(-1, 2),) * 3), ALL_POSITIVE)
+    assert crit.witnesses
+    (block,) = json.loads(capsys.readouterr().out)["oracle"]
+    found = {w["weight"] for w in block["witnesses"]}
+    for beta, n in crit.witnesses:
+        assert "lambda - (%s)" % Root(tuple(n * c for c in beta.coords)) in found
 
 
 def test_main_bad_oracle_bound_exits_one(tmp_path, capsys):

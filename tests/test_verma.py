@@ -10,6 +10,7 @@ up the module action:
   * the GL2 example values -(c1 - c2) and its n = 4 witness at (0, 3).
 """
 
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -193,25 +194,19 @@ def _partition_count(rs, nu):
 
 def test_sl2_singular_vector_at_zero():
     module = _sl2(Fraction(0))
-    rs = module.algebra.root_system
-    mu = module.lam - weight_of_root(rs, rs.simple_root(1))
-    vecs = singular_vectors(module, mu)
+    vecs = singular_vectors(module, (1,))
     assert len(vecs) == 1
     assert vecs[0].terms == {(1,): Fraction(1)}
 
 
 def test_sl2_no_singular_vector_at_minus_one():
     module = _sl2(Fraction(-1))
-    rs = module.algebra.root_system
-    mu = module.lam - weight_of_root(rs, rs.simple_root(1))
-    assert singular_vectors(module, mu) == ()
+    assert singular_vectors(module, (1,)) == ()
 
 
 def test_sl3_halfint_singular_line():
     module = _sl3(Fraction(-1, 2), Fraction(-1, 2))
-    rs = module.algebra.root_system
-    mu = module.lam - weight_of_root(rs, Root((1, 1)))
-    vecs = singular_vectors(module, mu)
+    vecs = singular_vectors(module, (1, 1))
     assert len(vecs) == 1
     assert vecs[0].terms == {(0, 0, 1): Fraction(1, 2), (1, 1, 0): Fraction(1)}
     # confirm by hand: both raising operators kill it
@@ -221,7 +216,7 @@ def test_sl3_halfint_singular_line():
 
 def test_highest_weight_vector_is_singular():
     module = _sl3(Fraction(2), Fraction(-3))
-    assert len(singular_vectors(module, module.lam)) == 1
+    assert len(singular_vectors(module, (0, 0))) == 1
 
 
 # -- simplicity oracle -------------------------------------------------------
@@ -255,6 +250,53 @@ def test_oracle_default_bound_when_simple():
     report = simplicity_oracle(_sl2(Fraction(-1, 2)))
     assert report.bound == 6
     assert not report.reducible
+
+
+def _box_depths(rs, bound):
+    """Every nonzero nu = sum n_beta beta with sum n_beta <= bound, taken
+    from the multiplicity box itself, in (sum(nu), nu) order."""
+    roots = [beta.coords for beta in rs.positive_roots]
+    depths = set()
+    for count in range(1, bound + 1):
+        for pick in itertools.combinations_with_replacement(roots, count):
+            depths.add(tuple(sum(col) for col in zip(*pick)))
+    return sorted(depths, key=lambda nu: (sum(nu), nu))
+
+
+_H, _T = Fraction(1, 2), Fraction(1, 3)
+_LINKED_GRIDS = (
+    ("A", 2, 4, [(0, 0), (1, 0), (-1, 2), (-_H, -_H), (_H, -3 * _H),
+                 (_T, -4 * _T), (-2 * _T, 2 * _T), (1, -_H), (-3, 1)]),
+    ("B", 2, 4, [(0, 0), (-1, 1), (-_H, -_H), (_H, -3 * _H), (-_T, 2 * _T),
+                 (1, -_H), (-1, -1)]),
+    ("C", 2, 4, [(0, 0), (1, -1), (-_H, -_H), (-3 * _H, _H), (_T, -_T),
+                 (-_H, 1), (-1, -1)]),
+    ("A", 3, 3, [(0, 0, 0), (1, -1, 0), (-_H, -_H, -_H), (_T, -_T, 0),
+                 (1, -_H, 0)]),
+)
+
+
+def test_linked_scan_equals_brute_force():
+    """The oracle scans only the dot-orbit of lam; asking singular_vectors
+    at every nu of the multiplicity box must find the same witnesses."""
+    start = time.monotonic()
+    found = 0
+    for label, rank, bound, grid in _LINKED_GRIDS:
+        rs = build_root_system(label, rank)
+        alg = realize(rs)
+        box = _box_depths(rs, bound)
+        for values in grid:
+            module = VermaModule(alg, weight(*values))
+            brute = []
+            for nu in box:
+                vecs = singular_vectors(module, nu)
+                if vecs:
+                    brute.append((nu, vecs))
+            report = simplicity_oracle(module, bound)
+            assert report.witnesses == tuple(brute), (label, rank, values)
+            found += len(brute)
+    assert found >= 40
+    assert time.monotonic() - start < 5
 
 
 # -- criterion ---------------------------------------------------------------
