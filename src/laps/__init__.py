@@ -2,16 +2,15 @@
 
 The decision path runs through highest weight module combinatorics: build
 a root system, evaluate the simplicity criterion on the induced character,
-and (optionally) confirm with a brute-force singular-vector search over an
-explicit matrix realization. Side layers cover parabolic double cosets,
+and (optionally) confirm with a brute-force singular-vector search whose
+structure constants follow from the Cartan matrix alone. Side layers cover parabolic double cosets,
 root partitions, and exact p-adic norm arithmetic on commutative models.
 """
 
 __version__ = "0.1.0"
 
-from .errors import (ConfigError, LapsError, RealizationError,
-                     ResourceLimitError)
-from .lie import MatrixLieAlgebra, bracket, realize
+from .errors import ConfigError, LapsError, ResourceLimitError
+from .lie import realize
 from .padic import (DistSeries, MahlerSeries, PValuationSpec, RNormParam,
                     canonical_valuation, dist_multiply, dist_series,
                     mahler_coefficients, mahler_evaluate, p_valuation_of_word,
@@ -31,8 +30,7 @@ from .verma import (ALL_POSITIVE, DELTA_ONLY, CharacterSpec, CriterionReport,
 
 __all__ = [
     "__version__",
-    "ConfigError", "LapsError", "RealizationError", "ResourceLimitError",
-    "MatrixLieAlgebra", "bracket", "realize",
+    "ConfigError", "LapsError", "ResourceLimitError", "realize",
     "DistSeries", "MahlerSeries", "PValuationSpec", "RNormParam",
     "canonical_valuation", "dist_multiply", "dist_series",
     "mahler_coefficients", "mahler_evaluate", "p_valuation_of_word",

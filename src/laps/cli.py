@@ -19,8 +19,7 @@ from fractions import Fraction
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from . import __version__
-from .errors import ConfigError, RealizationError, ResourceLimitError
-from .lie import realize
+from .errors import ConfigError, ResourceLimitError
 from .padic import (INF, dist_series, is_prime, mahler_coefficients, r_norm,
                     RNormParam)
 from .parahoric import (ParabolicType, build_weyl_group, double_cosets,
@@ -28,7 +27,7 @@ from .parahoric import (ParabolicType, build_weyl_group, double_cosets,
 from .roots import GENERIC, Generic, Root, Weight, build_root_system
 from .verma import (ALL_POSITIVE, DELTA_ONLY, VARIANTS, VermaModule,
                     bgg_criterion, character_weight, kostant_partitions,
-                    oracle_bound, simplicity_oracle)
+                    simplicity_oracle)
 
 _GROUP_RE = re.compile(r"([A-G])([1-9])")
 _RESSCALARS_RE = re.compile(r"ResScalars\(\s*GL2\s*,\s*([1-9]\d*)\s*\)")
@@ -498,15 +497,8 @@ def _run_check(cfg: ProblemConfig) -> dict:
                 block["skipped"] = ("generic exponents: criterion-only "
                                     "character, nothing to scan")
                 continue
-            try:
-                algebra = realize(rs)
-            except RealizationError as exc:
-                block["skipped"] = str(exc)
-                continue
-            # Refuse an over-cap bound before the structure tables are built.
-            bound = oracle_bound(rs, lam, cfg.oracle_bound)
-            module = VermaModule(algebra, lam)
-            report = simplicity_oracle(module, bound)
+            module = VermaModule(rs, lam)
+            report = simplicity_oracle(module, cfg.oracle_bound)
             block["bound"] = report.bound
             block["reducible"] = report.reducible
             block["witnesses"] = [{
@@ -844,7 +836,7 @@ def main(argv=None) -> int:
         for violation in exc.violations:
             print("laps: config error: %s" % violation, file=sys.stderr)
         return 1
-    except (RealizationError, ValueError) as exc:
+    except ValueError as exc:
         print("laps: error: %s" % exc, file=sys.stderr)
         return 1
     except ResourceLimitError as exc:

@@ -17,9 +17,5 @@ class ConfigError(LapsError):
         super().__init__("; ".join(self.violations))
 
 
-class RealizationError(LapsError):
-    """No matrix realization is available for the requested type."""
-
-
 class ResourceLimitError(LapsError):
     """A configured resource cap would be exceeded."""

@@ -1,154 +1,102 @@
-"""Matrix realizations of the classical types with Chevalley generators.
+"""Structure constants of the negative root vectors, from the root system.
 
-Types A through D are realized as sl_{n+1}, so_{2n+1}, sp_{2n}, so_{2n}
-with the bilinear form on the anti-diagonal (see CONVENTIONS.md). The
-exceptional types have no realization here and raise RealizationError.
-Structure constants are always read off from the matrices themselves.
+The f_beta are fixed by the Chevalley-Serre relations alone (Serre's
+theorem; Humphreys 1972, section 18; Carter 1972, section 4), so no matrix
+model and no sign rule is needed: f_{alpha_i} = f_i, and a higher f_beta
+is [f_j, f_{beta - alpha_j}] with j the smallest index for which
+beta - alpha_j is a positive root (beta's defining split). Going up by
+height, the e_i action comes from [e_i, f_j] = delta_ij h_i and
+[h_i, f_beta] = -beta(h_i) f_beta, the brackets [f_j, f_gamma] from the
+e_k action on the defining split of gamma + alpha_j, and the general
+[f_a, f_b] by Jacobi over a's defining split. See CONVENTIONS.md.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Tuple
 
-from .errors import RealizationError
-from .roots import Root, RootSystem
-
-Matrix = Tuple[Tuple[Fraction, ...], ...]
+from .roots import RootSystem
 
 
-def _zero(size: int) -> Matrix:
-    return tuple(tuple(Fraction(0) for _ in range(size)) for _ in range(size))
+def realize(rs: RootSystem):
+    """Tables (ff, ef) over the root vectors f_b, b indexing
+    rs.positive_roots (the PBW order):
 
-
-def _unit(size: int, a: int, b: int) -> Matrix:
-    """E_{ab} with 1-based indices."""
-    return tuple(tuple(Fraction(1) if (i == a - 1 and j == b - 1) else Fraction(0)
-                       for j in range(size))
-                 for i in range(size))
-
-
-def mat_add(x: Matrix, y: Matrix) -> Matrix:
-    return tuple(tuple(a + b for a, b in zip(rx, ry)) for rx, ry in zip(x, y))
-
-
-def mat_scale(c, x: Matrix) -> Matrix:
-    c = Fraction(c)
-    return tuple(tuple(c * a for a in row) for row in x)
-
-
-def mat_mul(x: Matrix, y: Matrix) -> Matrix:
-    yt = tuple(zip(*y))
-    return tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in yt)
-                 for row in x)
-
-
-def is_zero_matrix(x: Matrix) -> bool:
-    return all(a == 0 for row in x for a in row)
-
-
-def bracket(x: Matrix, y: Matrix) -> Matrix:
-    """Commutator x y - y x of two square matrices of equal size."""
-    if len(x) != len(y) or any(len(r) != len(x) for r in x + y):
-        raise ValueError("bracket needs square matrices of equal size")
-    return mat_add(mat_mul(x, y), mat_scale(-1, mat_mul(y, x)))
-
-
-@dataclass(frozen=True, eq=False)
-class MatrixLieAlgebra:
-    """Chevalley generators and root vectors for one realized root system.
-
-    root_vectors maps every root (both signs) to a nonzero root vector;
-    the positive ones are built from the e_i by iterated brackets, the
-    negative ones from the f_i, and f_{alpha_i} is exactly the generator f_i.
-    The mapping is owned by this object and must be treated as read-only.
+    ff[(a, b)] = (t, c) when [f_a, f_b] = c f_t and beta_a + beta_b is a root;
+    ef[(i, b)] = ("h", i) when f_b = f_i, or ("f", t, c) when [e_i, f_b] =
+    c f_t and beta_b - alpha_i is a positive root. Absent pairs bracket to 0.
     """
+    roots = [beta.coords for beta in rs.positive_roots]
+    index = {c: k for k, c in enumerate(roots)}
+    rank, cartan = rs.rank, rs.cartan_matrix
 
-    root_system: RootSystem
-    size: int
-    e: Tuple[Matrix, ...]
-    f: Tuple[Matrix, ...]
-    h: Tuple[Matrix, ...]
-    root_vectors: Dict[Root, Matrix] = field(repr=False)
+    def shift(k, i, step):
+        """Index of beta_k + step * alpha_i, or None if not a positive root."""
+        c = roots[k]
+        return index.get(c[:i] + (c[i] + step,) + c[i + 1:])
 
+    def add(a, b):
+        return index.get(tuple(x + y for x, y in zip(roots[a], roots[b])))
 
-def _generators(type_label: str, rank: int):
-    if type_label == "A":
-        size = rank + 1
-        e = [_unit(size, i, i + 1) for i in range(1, rank + 1)]
-        f = [_unit(size, i + 1, i) for i in range(1, rank + 1)]
-        return size, e, f
-    if type_label == "B":
-        size = 2 * rank + 1
-        bar = lambda k: size + 1 - k
-        e, f = [], []
-        for i in range(1, rank):
-            e.append(mat_add(_unit(size, i, i + 1),
-                             mat_scale(-1, _unit(size, bar(i + 1), bar(i)))))
-            f.append(mat_add(_unit(size, i + 1, i),
-                             mat_scale(-1, _unit(size, bar(i), bar(i + 1)))))
-        n = rank
-        e.append(mat_add(_unit(size, n, n + 1),
-                         mat_scale(-1, _unit(size, n + 1, n + 2))))
-        f.append(mat_scale(2, mat_add(_unit(size, n + 1, n),
-                                      mat_scale(-1, _unit(size, n + 2, n + 1)))))
-        return size, e, f
-    if type_label == "C":
-        size = 2 * rank
-        bar = lambda k: size + 1 - k
-        e, f = [], []
-        for i in range(1, rank):
-            e.append(mat_add(_unit(size, i, i + 1),
-                             mat_scale(-1, _unit(size, bar(i + 1), bar(i)))))
-            f.append(mat_add(_unit(size, i + 1, i),
-                             mat_scale(-1, _unit(size, bar(i), bar(i + 1)))))
-        n = rank
-        e.append(_unit(size, n, n + 1))
-        f.append(_unit(size, n + 1, n))
-        return size, e, f
-    if type_label == "D":
-        size = 2 * rank
-        bar = lambda k: size + 1 - k
-        e, f = [], []
-        for i in range(1, rank):
-            e.append(mat_add(_unit(size, i, i + 1),
-                             mat_scale(-1, _unit(size, bar(i + 1), bar(i)))))
-            f.append(mat_add(_unit(size, i + 1, i),
-                             mat_scale(-1, _unit(size, bar(i), bar(i + 1)))))
-        n = rank
-        e.append(mat_add(_unit(size, n - 1, n + 1),
-                         mat_scale(-1, _unit(size, n, n + 2))))
-        f.append(mat_add(_unit(size, n + 1, n - 1),
-                         mat_scale(-1, _unit(size, n + 2, n))))
-        return size, e, f
-    raise RealizationError("no matrix realization for type %s (types A-D only)"
-                           % type_label)
+    split = {k: next((j, shift(k, j, -1)) for j in range(rank)
+                     if shift(k, j, -1) is not None)
+             for k, c in enumerate(roots) if sum(c) > 1}
+    ef: Dict[Tuple[int, int], tuple] = {}
+    sf: Dict[Tuple[int, int], Fraction] = {}  # [f_j, f_g] = sf * f_{g+alpha_j}
 
+    def f_after_e(j, i, g):
+        """Coefficient of [f_j, [e_i, f_g]] on its one root vector."""
+        inner = ef.get((i, g))
+        if inner is None:
+            return Fraction(0)
+        if inner[0] == "h":  # [f_j, h_i] = a_ij f_j
+            return Fraction(cartan[i][j])
+        return inner[2] * sf[(j, inner[1])]
 
-def realize(rs: RootSystem) -> MatrixLieAlgebra:
-    """Matrix realization of the root system, or RealizationError for E/F/G."""
-    size, e, f = _generators(rs.type_label, rs.rank)
-    h = [bracket(e[i], f[i]) for i in range(rs.rank)]
+    for height in range(1, sum(roots[-1]) + 1):
+        level = [k for k, c in enumerate(roots) if sum(c) == height]
+        for k in level:
+            if height == 1:
+                i = roots[k].index(1)
+                ef[(i, k)] = ("h", i)
+                continue
+            j, lower = split[k]
+            for i in range(rank):
+                target = shift(k, i, -1)
+                if target is None:
+                    continue
+                c = f_after_e(j, i, lower)
+                if i == j:  # [h_i, f_lower] = -lower(h_i) f_lower
+                    c -= sum(a * x for a, x in zip(cartan[i], roots[lower]))
+                ef[(i, k)] = ("f", target, c)
+        for k in level:
+            for j in range(rank):
+                g = shift(k, j, -1)
+                if g is None:
+                    continue
+                if split.get(k) == (j, g):
+                    sf[(j, g)] = Fraction(1)
+                else:  # apply e_m, m the defining index of beta_k, and divide
+                    m = split[k][0]
+                    sf[(j, g)] = f_after_e(j, m, g) / ef[(m, k)][2]
 
-    vectors: Dict[Root, Matrix] = {}
-    for i in range(rs.rank):
-        vectors[rs.simple_root(i + 1)] = e[i]
-        vectors[-rs.simple_root(i + 1)] = f[i]
-    for beta in rs.positive_roots:
-        if beta.height == 1:
-            continue
-        for i in range(1, rs.rank + 1):
-            lower = Root(tuple(c - s for c, s in
-                               zip(beta.coords, rs.simple_root(i).coords)))
-            if lower.sign > 0 and rs.is_root(lower) and lower in vectors:
-                x = bracket(e[i - 1], vectors[lower])
-                y = bracket(f[i - 1], vectors[-lower])
-                if not is_zero_matrix(x) and not is_zero_matrix(y):
-                    vectors[beta] = x
-                    vectors[-beta] = y
-                    break
-        if beta not in vectors:
-            raise RealizationError("could not build a root vector for %s" % beta)
-
-    return MatrixLieAlgebra(rs, size, tuple(e), tuple(f), tuple(h), vectors)
+    ff: Dict[Tuple[int, int], Tuple[int, Fraction]] = {}
+    for a in range(len(roots)):
+        for b in range(len(roots)):
+            t = add(a, b)
+            if t is None:
+                continue
+            if a not in split:
+                c = sf[(roots[a].index(1), b)]
+            else:  # [[f_j, f_a'], f_b] = [f_j, [f_a', f_b]] - [f_a', [f_j, f_b]]
+                j, low = split[a]
+                c = Fraction(0)
+                mid = add(low, b)
+                if mid is not None:
+                    c += ff[(low, b)][1] * sf[(j, mid)]
+                up = shift(b, j, 1)
+                if up is not None:
+                    c -= sf[(j, b)] * ff[(low, up)][1]
+            ff[(a, b)] = (t, c)
+    return ff, ef

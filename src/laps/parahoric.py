@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, Tuple
 
 from .errors import ResourceLimitError
-from .lie import mat_mul
 from .roots import Root, RootSystem
 
 IntMatrix = Tuple[Tuple[int, ...], ...]
@@ -64,6 +63,12 @@ class DoubleCosetDecomposition:
         for rep in self.coset_map.values():
             counts[rep] = counts.get(rep, 0) + 1
         return tuple(counts[rep] for rep in self.representatives)
+
+
+def mat_mul(x: IntMatrix, y: IntMatrix) -> IntMatrix:
+    yt = tuple(zip(*y))
+    return tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in yt)
+                 for row in x)
 
 
 def _identity(rank: int) -> IntMatrix:

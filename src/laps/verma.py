@@ -1,10 +1,11 @@
-"""Highest weight modules over the matrix realizations and the simplicity
-criterion for their induced characters.
+"""Highest weight modules and the simplicity criterion for their induced
+characters.
 
 The module M(lam) is spanned by ordered monomials in the negative root
 vectors applied to a highest weight vector. Generators act by commuting
-through the monomial with structure constants read off the matrices, so
-the singular-vector search is an independent check on the criterion.
+through the monomial with the structure constants that laps.lie derives
+from the Chevalley-Serre relations, so the singular-vector search is an
+independent check on the criterion.
 
 The oracle scans only the weights linked to lam, the points w.lam of its
 dot-orbit under W: a singular vector generates a highest weight submodule,
@@ -26,7 +27,7 @@ from typing import Dict, Tuple
 
 from . import linalg
 from .errors import ResourceLimitError
-from .lie import MatrixLieAlgebra, bracket, is_zero_matrix, mat_scale, realize
+from .lie import realize
 from .roots import (Coords, Entry, Generic, Root, RootSystem, Weight,
                     build_root_system, half_sum_positive_roots, pair_with_coroot,
                     weight_of_root)
@@ -192,69 +193,30 @@ class PBWVector:
 
 
 class VermaModule:
-    """M(lam) over the realized algebra, with the fixed monomial order.
+    """M(lam) with the fixed monomial order; its structure constants come
+    from realize(rs).
 
     lam must be purely rational; generic tags belong to the criterion layer.
     """
 
-    def __init__(self, algebra: MatrixLieAlgebra, lam: Weight):
-        rs = algebra.root_system
+    def __init__(self, rs: RootSystem, lam: Weight):
         if len(lam.pairings) != rs.rank:
             raise ValueError("weight arity %d does not match rank %d"
                              % (len(lam.pairings), rs.rank))
         if not lam.is_rational():
             raise ValueError("module weights must be rational; "
                              "generic tags are criterion-only")
-        self.algebra = algebra
         self.lam = lam
         self.pbw_order: Tuple[Root, ...] = rs.positive_roots
         self._rs = rs
         self._index = {beta: k for k, beta in enumerate(self.pbw_order)}
         self._root_pairings = [weight_of_root(rs, beta).pairings
                                for beta in self.pbw_order]
-        self._build_tables()
+        self._ff, self._ef = realize(rs)
         self._memo: Dict[tuple, Dict[Coords, Fraction]] = {}
 
     def highest_weight_vector(self) -> PBWVector:
         return PBWVector({(0,) * len(self.pbw_order): Fraction(1)})
-
-    def _build_tables(self):
-        rs, alg = self._rs, self.algebra
-        y = [alg.root_vectors[-beta] for beta in self.pbw_order]
-        n = len(y)
-        self._ff: Dict[Tuple[int, int], Tuple[int, Fraction]] = {}
-        for a in range(n):
-            for b in range(n):
-                if a == b:
-                    continue
-                total = Root(tuple(x + z for x, z in zip(self.pbw_order[a].coords,
-                                                         self.pbw_order[b].coords)))
-                br = bracket(y[a], y[b])
-                if rs.is_root(total):
-                    c = _proportion(br, y[self._index[total]])
-                    self._ff[(a, b)] = (self._index[total], c)
-                elif not is_zero_matrix(br):
-                    raise ValueError("inconsistent structure constants at %s, %s"
-                                     % (self.pbw_order[a], self.pbw_order[b]))
-        self._ef: Dict[Tuple[int, int], tuple] = {}
-        for i in range(rs.rank):
-            alpha = rs.simple_root(i + 1)
-            for b in range(n):
-                br = bracket(alg.e[i], y[b])
-                beta = self.pbw_order[b]
-                if beta == alpha:
-                    if br != alg.h[i]:
-                        raise ValueError("generator pair (e%d, f%d) is not a triple"
-                                         % (i + 1, i + 1))
-                    self._ef[(i, b)] = ("h", i)
-                    continue
-                lower = Root(tuple(x - z for x, z in zip(beta.coords, alpha.coords)))
-                if lower.sign > 0 and rs.is_root(lower):
-                    c = _proportion(br, y[self._index[lower]])
-                    self._ef[(i, b)] = ("f", self._index[lower], c)
-                elif not is_zero_matrix(br):
-                    raise ValueError("inconsistent structure constants at e%d, %s"
-                                     % (i + 1, beta))
 
     def monomial_weight(self, mono: Coords) -> Weight:
         acc = list(self.lam.pairings)
@@ -321,17 +283,6 @@ class VermaModule:
 def _merge(acc: Dict[Coords, Fraction], inc: Dict[Coords, Fraction], scale: Fraction):
     for m, c in inc.items():
         acc[m] = acc.get(m, Fraction(0)) + scale * c
-
-
-def _proportion(m, base) -> Fraction:
-    for r, row in enumerate(base):
-        for c, x in enumerate(row):
-            if x != 0:
-                ratio = m[r][c] / x
-                if m != mat_scale(ratio, base):
-                    raise ValueError("matrices are not proportional")
-                return ratio
-    raise ValueError("zero base matrix")
 
 
 _GEN_RE = re.compile(r"([efh])([1-9]\d*)")
@@ -428,28 +379,6 @@ class OracleReport:
         return bool(self.witnesses)
 
 
-def oracle_bound(rs: RootSystem, lam: Weight, degree_bound: int = None) -> int:
-    """The oracle's degree bound, refused with ResourceLimitError above
-    ORACLE_CAP.
-
-    Without an explicit bound, the criterion's witnesses fix it as
-    max n * height(beta) (enough to reach every predicted singular weight);
-    a weight the criterion calls simple gets a small confirmation scan.
-    """
-    if degree_bound is None:
-        crit = bgg_criterion(rs, lam, ALL_POSITIVE)
-        if crit.witnesses:
-            degree_bound = max(n * beta.height for beta, n in crit.witnesses)
-        else:
-            degree_bound = _ORACLE_DEFAULT_SCAN
-    if degree_bound < 0:
-        raise ValueError("degree bound must be nonnegative")
-    if degree_bound > ORACLE_CAP:
-        raise ResourceLimitError("oracle bound %d exceeds the safety cap %d"
-                                 % (degree_bound, ORACLE_CAP))
-    return degree_bound
-
-
 def _dot_orbit_depths(rs: RootSystem, lam: Weight):
     """nu = lam - w.lam for every w in W, in simple-root coordinates, by
     breadth-first search over s_i.mu = mu - (mu(H_i) + 1) alpha_i."""
@@ -503,13 +432,27 @@ def simplicity_oracle(module: VermaModule, degree_bound: int = None) -> OracleRe
     """Scan the weights lam - nu, nu = sum n_beta beta with sum n_beta <=
     bound, for singular vectors.
 
+    Without an explicit bound, the criterion's witnesses fix it as
+    max n * height(beta) (enough to reach every predicted singular weight);
+    a weight the criterion calls simple gets a small confirmation scan. A
+    bound above ORACLE_CAP is refused with ResourceLimitError.
+
     Only the nu linked to lam (lam - nu in its dot-orbit) are scanned: by
     Harish-Chandra's theorem no other weight holds a singular vector (see
-    the module docstring). oracle_bound resolves the bound. Witnesses come
-    in (sum(nu), nu) order.
+    the module docstring). Witnesses come in (sum(nu), nu) order.
     """
     rs = module._rs
-    degree_bound = oracle_bound(rs, module.lam, degree_bound)
+    if degree_bound is None:
+        crit = bgg_criterion(rs, module.lam, ALL_POSITIVE)
+        if crit.witnesses:
+            degree_bound = max(n * beta.height for beta, n in crit.witnesses)
+        else:
+            degree_bound = _ORACLE_DEFAULT_SCAN
+    if degree_bound < 0:
+        raise ValueError("degree bound must be nonnegative")
+    if degree_bound > ORACLE_CAP:
+        raise ResourceLimitError("oracle bound %d exceeds the safety cap %d"
+                                 % (degree_bound, ORACLE_CAP))
     within = _within_bound(rs, degree_bound)
     linked = []
     for nu in _dot_orbit_depths(rs, module.lam):
@@ -528,7 +471,7 @@ def simplicity_oracle(module: VermaModule, degree_bound: int = None) -> OracleRe
 
 
 def verma_module(type_label: str, rank: int, lam_values) -> VermaModule:
-    """Convenience constructor: realize the type and induce from the weight."""
+    """Convenience constructor: build the root system and induce from the weight."""
     rs = build_root_system(type_label, rank)
     lam = Weight(tuple(_entry(x) for x in lam_values))
-    return VermaModule(realize(rs), lam)
+    return VermaModule(rs, lam)

@@ -586,6 +586,54 @@ def test_main_oracle_b3_half_meets_every_criterion_witness(tmp_path, capsys):
         assert "lambda - (%s)" % Root(tuple(n * c for c in beta.coords)) in found
 
 
+def _criterion_weights(rs, lam, bound):
+    """The weights lam - n beta of the criterion's witnesses within bound."""
+    crit = bgg_criterion(rs, lam, ALL_POSITIVE)
+    return crit.simple, {"lambda - (%s)" % Root(tuple(n * c for c in beta.coords))
+                         for beta, n in crit.witnesses if n * beta.height <= bound}
+
+
+def test_main_oracle_g2_grid_agrees_with_criterion(tmp_path, capsys):
+    rs = build_root_system("G", 2)
+    entries = (Fraction(-1), Fraction(0), Fraction(-1, 2), Fraction(1, 2),
+               Fraction(-1, 3), Fraction(2, 3))
+    start = time.perf_counter()
+    predicted = 0
+    for lam in itertools.product(entries, repeat=2):
+        path = _write(tmp_path, "group = G2\nlambda = [%s, %s]\noracle_bound = 4\n"
+                      % lam)
+        assert main(["check", "--config", path, "--format", "machine"]) == 0
+        (block,) = json.loads(capsys.readouterr().out)["oracle"]
+        found = {w["weight"] for w in block["witnesses"]}
+        simple, expected = _criterion_weights(rs, Weight(lam), 4)
+        assert expected <= found, lam
+        assert not (simple and found), lam
+        predicted += len(expected)
+    assert predicted >= 15
+    assert time.perf_counter() - start < 30.0
+
+
+def test_main_oracle_f4_half_meets_criterion_witnesses(tmp_path, capsys):
+    path = _write(tmp_path, "group = F4\nlambda = [-1/2, -1/2, -1/2, -1/2]\n"
+                            "oracle_bound = 2\n")
+    start = time.perf_counter()
+    assert main(["check", "--config", path, "--format", "machine"]) == 0
+    assert time.perf_counter() - start < 10.0
+    (block,) = json.loads(capsys.readouterr().out)["oracle"]
+    found = {w["weight"] for w in block["witnesses"]}
+    lam = Weight((Fraction(-1, 2),) * 4)
+    _, expected = _criterion_weights(build_root_system("F", 4), lam, 2)
+    assert expected and expected <= found
+
+
+def test_main_oracle_f4_without_linked_weights(tmp_path, capsys):
+    path = _write(tmp_path, "group = F4\nlambda = [1/7, 1/11, 1/13, 1/17]\n"
+                            "oracle = true\n")
+    assert main(["check", "--config", path]) == 0
+    out = capsys.readouterr().out
+    assert "no obstruction" in out and "skipped" not in out
+
+
 def test_main_bad_oracle_bound_exits_one(tmp_path, capsys):
     path = _write(tmp_path, GL2_GOOD)
     assert main(["check", "--config", path, "--oracle-bound", "0"]) == 1
