@@ -20,8 +20,8 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from . import __version__
 from .errors import ConfigError, ResourceLimitError
-from .padic import (INF, dist_series, is_prime, mahler_coefficients, r_norm,
-                    RNormParam)
+from .padic import (_PRIME_BOUND, INF, dist_series, is_prime,
+                    mahler_coefficients, r_norm, RNormParam)
 from .parahoric import (ParabolicType, build_weyl_group, double_cosets,
                         iwahori_root_partition, weyl_element)
 from .roots import GENERIC, Generic, Root, Weight, build_root_system
@@ -238,6 +238,9 @@ def _parse_indices(key, value, cfg):
 
 def _parse_prime(key, value, cfg):
     p = _int_atom(value)
+    if p >= _PRIME_BOUND:
+        raise ValueError("p must be below %d, the bound of the deterministic "
+                         "primality test" % _PRIME_BOUND)
     if not is_prime(p):
         raise ValueError("p must be prime, got %d" % p)
     return p
@@ -278,7 +281,7 @@ def _parse_terms(key, value, cfg):
             or not all(isinstance(x, list) for x in parsed)):
         raise ValueError("terms must be a list of "
                          "[n_1, ..., n_d, coefficient] rows")
-    rows = []
+    rows, seen = [], set()
     for row in parsed:
         if len(row) != cfg.d + 1 or any(isinstance(x, list) for x in row):
             raise ValueError("each term needs %d indices and one "
@@ -286,6 +289,9 @@ def _parse_terms(key, value, cfg):
         index = tuple(_int_atom(x) for x in row[:-1])
         if any(x < 0 for x in index):
             raise ValueError("term indices must be nonnegative")
+        if index in seen:
+            raise ValueError("term index %s appears twice" % list(index))
+        seen.add(index)
         rows.append((index, _number(row[-1])))
     return tuple(rows)
 

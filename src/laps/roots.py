@@ -1,17 +1,17 @@
 """Finite root systems in the simple-root basis.
 
-Roots carry integer coordinates over the simple roots, weights carry their
-pairings with the simple coroots. Node numbering and the Cartan matrix
+Roots carry integer coordinates over the simple roots, coroots over the
+simple coroots, and weights carry their pairings with the simple coroots.
+Every coroot comes from the same reflection closure as its root, so pairing
+a weight with it needs no division. Node numbering and the Cartan matrix
 convention a_ij = alpha_j(H_{alpha_i}) are fixed in CONVENTIONS.md.
 """
 
 from __future__ import annotations
 
-import functools
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Tuple, Union
+from typing import Dict, Tuple, Union
 
 from .errors import ConfigError
 
@@ -138,10 +138,10 @@ class RootSystem:
     type_label: str
     rank: int
     cartan_matrix: Tuple[Tuple[int, ...], ...]
-    symmetrizer: Tuple[int, ...]
     positive_roots: Tuple[Root, ...]
-    # Coordinates of every root, positive and negative, for is_root.
-    root_coords: frozenset = field(compare=False, hash=False, repr=False)
+    # Coordinates of every root, positive and negative, mapped to its
+    # coroot in simple-coroot coordinates.
+    coroots: Dict[Coords, Coords] = field(compare=False, hash=False, repr=False)
 
     def simple_root(self, i: int) -> Root:
         """The i-th simple root, 1-based."""
@@ -154,7 +154,7 @@ class RootSystem:
         return tuple(self.simple_root(i) for i in range(1, self.rank + 1))
 
     def is_root(self, root: Root) -> bool:
-        return root.coords in self.root_coords
+        return root.coords in self.coroots
 
 
 def _validate_type(type_label: str, rank: int) -> None:
@@ -201,68 +201,44 @@ def _cartan_matrix(type_label: str, rank: int):
     return tuple(tuple(row) for row in a)
 
 
-def _symmetrizer(cartan: Tuple[Tuple[int, ...], ...]) -> Tuple[int, ...]:
-    """Positive integers d_i with d_i a_ij symmetric, normalized to min 1."""
-    rank = len(cartan)
-    d = [None] * rank
-    d[0] = Fraction(1)
-    queue = [0]
-    while queue:
-        i = queue.pop()
-        for j in range(rank):
-            if i != j and cartan[i][j] != 0 and d[j] is None:
-                d[j] = d[i] * Fraction(cartan[i][j], cartan[j][i])
-                queue.append(j)
-    if any(x is None for x in d):
-        raise ConfigError("Dynkin diagram is not connected")
-    scale = functools.reduce(lambda acc, x: acc * x.denominator, d, 1)
-    ints = [int(x * scale) for x in d]
-    g = functools.reduce(math.gcd, ints)
-    ints = [x // g for x in ints]
-    for i in range(rank):
-        for j in range(rank):
-            if ints[i] * cartan[i][j] != ints[j] * cartan[j][i]:
-                raise ConfigError("Cartan matrix is not symmetrizable")
-    return tuple(ints)
+def _reflect(matrix, i: int, coords: Coords) -> Coords:
+    """s_i (0-based) on coordinates: c_i -> c_i - sum_j m_ij c_j. The Cartan
+    matrix acts on roots, its transpose on coroots."""
+    c = list(coords)
+    c[i] -= sum(m * x for m, x in zip(matrix[i], coords))
+    return tuple(c)
 
 
 def reflect_simple(rs: RootSystem, i: int, root: Root) -> Root:
     """Apply the simple reflection s_i (1-based) to a root."""
     if not 1 <= i <= rs.rank:
         raise ValueError("simple reflection index %r out of range 1..%d" % (i, rs.rank))
-    c = list(root.coords)
-    pairing = sum(rs.cartan_matrix[i - 1][j] * c[j] for j in range(rs.rank))
-    c[i - 1] -= pairing
-    return Root(tuple(c))
+    return Root(_reflect(rs.cartan_matrix, i - 1, root.coords))
 
 
 def build_root_system(type_label: str, rank: int) -> RootSystem:
     """Construct the root system for a Dynkin type within the rank cap.
 
-    Positive roots are generated by closing the simple roots under the
-    simple reflections and come back sorted by height, then lexicographically
-    on coordinates.
+    The pairs (root, coroot) are closed under the simple reflections from
+    (alpha_i, alpha_i^vee), since s_j(beta)^vee = s_j(beta^vee). Positive
+    roots come back sorted by height, then lexicographically on coordinates.
     """
     _validate_type(type_label, rank)
     cartan = _cartan_matrix(type_label, rank)
-    sym = _symmetrizer(cartan)
-    rs = RootSystem(type_label, rank, cartan, sym, (), frozenset())
-
-    roots = {r.coords for r in rs.simple_roots}
-    frontier = set(roots)
-    while frontier:
-        new = set()
-        for coords in frontier:
-            for i in range(1, rank + 1):
-                image = reflect_simple(rs, i, Root(coords)).coords
-                if image not in roots:
-                    new.add(image)
-        roots |= new
-        frontier = new
-    positive = sorted((Root(c) for c in roots if Root(c).sign > 0),
+    transpose = tuple(zip(*cartan))
+    simple = [tuple(int(j == i) for j in range(rank)) for i in range(rank)]
+    coroots = dict(zip(simple, simple))
+    stack = list(simple)
+    while stack:
+        root = stack.pop()
+        for i in range(rank):
+            image = _reflect(cartan, i, root)
+            if image not in coroots:
+                coroots[image] = _reflect(transpose, i, coroots[root])
+                stack.append(image)
+    positive = sorted((Root(c) for c in coroots if min(c) >= 0),
                       key=lambda r: (r.height, r.coords))
-    return RootSystem(type_label, rank, cartan, sym, tuple(positive),
-                      frozenset(roots))
+    return RootSystem(type_label, rank, cartan, tuple(positive), coroots)
 
 
 def weight_of_root(rs: RootSystem, root: Root) -> Weight:
@@ -284,29 +260,13 @@ def half_sum_positive_roots(rs: RootSystem) -> Weight:
     return Weight(tuple(p / 2 for p in total))
 
 
-def root_norm_half(rs: RootSystem, root: Root) -> Fraction:
-    """(beta, beta)/2 in the normalization where short simple roots have d = 1."""
-    c = root.coords
-    acc = Fraction(0)
-    for i in range(rs.rank):
-        for j in range(rs.rank):
-            acc += c[i] * c[j] * rs.symmetrizer[i] * rs.cartan_matrix[i][j]
-    return acc / 2
-
-
 def pair_with_coroot(rs: RootSystem, lam: Weight, root: Root):
-    """Evaluate a weight on the coroot H_beta of any root beta.
-
-    Uses H_beta = sum_i c_i (d_i / d_beta) H_{alpha_i} for beta = sum_i c_i alpha_i.
-    """
-    if not rs.is_root(root):
+    """Evaluate a weight on the coroot H_beta of any root beta: the sum of
+    lam(H_{alpha_i}) c_i over the coroot coordinates c_i of beta."""
+    coroot = rs.coroots.get(root.coords)
+    if coroot is None:
         raise ValueError("%s is not a root of %s%d" % (root, rs.type_label, rs.rank))
     if len(lam.pairings) != rs.rank:
         raise ValueError("weight arity %d does not match rank %d"
                          % (len(lam.pairings), rs.rank))
-    d_beta = root_norm_half(rs, root)
-    acc = Fraction(0)
-    for i, c in enumerate(root.coords):
-        coeff = Fraction(c * rs.symmetrizer[i]) / d_beta
-        acc = acc + lam.pairings[i] * coeff
-    return acc
+    return sum((x * c for x, c in zip(lam.pairings, coroot)), Fraction(0))

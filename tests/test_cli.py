@@ -158,6 +158,7 @@ def test_parse_violations_sorted_by_line():
      "each exponent pair must have exactly 2 entries"),
     ("d = 1\nterms = [1, 2]\n", "terms must be a list of"),
     ("d = 1\nterms = [[-1, 1]]\n", "term indices must be nonnegative"),
+    ("d = 1\nterms = [[0, 1], [0, 2]]\n", "line 2: term index [0] appears twice"),
     ("group = A2\nlambda = [0, 0] 1\n", "trailing content"),
     ("group = A2\nlambda = [0 0]\n", "expected ',' or ']'"),
     ("group = A2\nlambda = [0,\n", "unexpected end of list"),
@@ -527,6 +528,18 @@ def test_main_mahler_large_prime(tmp_path, capsys):
     assert "p: 2305843009213693951" in capsys.readouterr().out
 
 
+def test_main_uncertifiable_prime_is_refused_quickly(tmp_path, capsys):
+    # 4,300 digits and no prime below 42 divides it, so Miller-Rabin would
+    # run every base at full size before giving up
+    path = _write(tmp_path, "p = %d\nd = 1\ndegree = 2\nmonomial = [2]\n"
+                  % (10 ** 4299 + 7))
+    start = time.perf_counter()
+    assert main(["mahler", "--config", path]) == 1
+    assert time.perf_counter() - start < 1.0
+    assert ("line 1: p must be below 3317044064679887385961981"
+            in capsys.readouterr().err)
+
+
 def test_main_resource_limit_exits_two(tmp_path, capsys):
     path = _write(tmp_path, "group = A2\nlambda = [-1/2, -1/2]\n")
     code = main(["check", "--config", path, "--oracle-bound", "15"])
@@ -611,6 +624,26 @@ def test_main_oracle_g2_grid_agrees_with_criterion(tmp_path, capsys):
         predicted += len(expected)
     assert predicted >= 15
     assert time.perf_counter() - start < 30.0
+
+
+@pytest.mark.parametrize("label", ["B", "C"])
+def test_main_oracle_rank3_grid_agrees_with_criterion(tmp_path, capsys, label):
+    # the smallest rank-3 types with coroots other than the roots; the
+    # oracle never reads a coroot, so it checks them independently
+    rs = build_root_system(label, 3)
+    entries = (Fraction(-1), Fraction(-1, 2), Fraction(0), Fraction(1, 2))
+    predicted = 0
+    for lam in itertools.product(entries, repeat=3):
+        path = _write(tmp_path, "group = %s3\nlambda = [%s, %s, %s]\n"
+                      "oracle_bound = 2\n" % ((label,) + lam))
+        assert main(["check", "--config", path, "--format", "machine"]) == 0
+        (block,) = json.loads(capsys.readouterr().out)["oracle"]
+        found = {w["weight"] for w in block["witnesses"]}
+        simple, expected = _criterion_weights(rs, Weight(lam), 2)
+        assert expected <= found, lam
+        assert not (simple and found), lam
+        predicted += len(expected)
+    assert predicted == 68
 
 
 def test_main_oracle_f4_half_meets_criterion_witnesses(tmp_path, capsys):

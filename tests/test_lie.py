@@ -9,8 +9,9 @@ relations [e_i, f_j] = delta_ij h_i.
 The coroot oracle evaluates lam on H_beta through the Weyl group: it walks
 beta down to a simple root alpha_i by simple reflections, so beta = w(alpha_i)
 and lam(H_beta) = (w^{-1} lam)(H_i), with w^{-1} applied to lam as a product
-of reflection matrices on the pairing vector. That route never touches the
-symmetrizer, so agreement with pair_with_coroot pins both sides.
+of reflection matrices on the pairing vector. That route never reads the
+coroots of the root system, so agreement with pair_with_coroot pins both
+sides.
 """
 
 import random

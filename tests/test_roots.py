@@ -1,9 +1,11 @@
 """Root system layer: construction, reflection closure, coroot pairings.
 
 The non-obvious expected values here were derived by hand from the
-reflection closure and the symmetrizer formula before the implementation
-existed; the B2 pairings in particular pin the length convention (a1+a2
-short, a1+2a2 long).
+reflection closure and beta^vee = 2 beta / (beta, beta) before the
+implementation existed; the B2 pairings in particular pin the length
+convention (a1+a2 short, a1+2a2 long). The coroots are checked against that
+formula with the hand-written symmetrizers below and against the root sets
+of the dual types, neither of which reads a coroot.
 """
 
 from fractions import Fraction
@@ -33,11 +35,29 @@ def test_positive_root_counts(label, rank):
     assert len(rs.positive_roots) == POSITIVE_ROOT_COUNTS[(label, rank)]
 
 
+# d_i with d_i a_ij symmetric, so (alpha_i, alpha_i) is proportional to d_i.
+SYMMETRIZERS = {
+    ("A", 1): (1,), ("A", 2): (1, 1), ("A", 3): (1, 1, 1), ("A", 4): (1, 1, 1, 1),
+    ("B", 2): (2, 1), ("B", 3): (2, 2, 1), ("B", 4): (2, 2, 2, 1),
+    ("C", 2): (1, 2), ("C", 3): (1, 1, 2), ("C", 4): (1, 1, 1, 2),
+    ("D", 3): (1, 1, 1), ("D", 4): (1, 1, 1, 1),
+    ("G", 2): (1, 3), ("F", 4): (2, 2, 1, 1),
+}
+
+# The type whose roots are the coroots, and whether its nodes run backwards.
+DUALS = {
+    ("B", 2): ("C", 2, False), ("B", 3): ("C", 3, False),
+    ("B", 4): ("C", 4, False), ("C", 2): ("B", 2, False),
+    ("C", 3): ("B", 3, False), ("C", 4): ("B", 4, False),
+    ("G", 2): ("G", 2, True), ("F", 4): ("F", 4, True),
+}
+
+
 @pytest.mark.parametrize("label,rank", sorted(POSITIVE_ROOT_COUNTS))
 def test_cartan_invariants(label, rank):
     rs = build_root_system(label, rank)
     a = rs.cartan_matrix
-    d = rs.symmetrizer
+    d = SYMMETRIZERS[(label, rank)]
     for i in range(rank):
         assert a[i][i] == 2
         assert d[i] >= 1
@@ -83,13 +103,47 @@ def test_simple_roots_are_unit_vectors():
 def test_b2_cartan_convention():
     rs = build_root_system("B", 2)
     assert rs.cartan_matrix == ((2, -1), (-2, 2))
-    assert rs.symmetrizer == (2, 1)
+    # (a1, a1) = 2 and (a2, a2) = 1, so beta^vee = 2 beta / (beta, beta)
+    # gives (a1+a2)^vee = 2a1^vee + a2^vee and (a1+2a2)^vee = a1^vee + a2^vee.
+    assert {r.coords: rs.coroots[r.coords] for r in rs.positive_roots} == {
+        (1, 0): (1, 0), (0, 1): (0, 1), (1, 1): (2, 1), (1, 2): (1, 1)}
 
 
 def test_g2_cartan_convention():
     rs = build_root_system("G", 2)
     assert rs.cartan_matrix == ((2, -3), (-1, 2))
-    assert rs.symmetrizer == (1, 3)
+    # (a1, a1) = 2 and (a2, a2) = 6: a1+a2 and 2a1+a2 are short, 3a1+a2 and
+    # 3a1+2a2 long.
+    assert {r.coords: rs.coroots[r.coords] for r in rs.positive_roots} == {
+        (1, 0): (1, 0), (0, 1): (0, 1), (1, 1): (1, 3), (2, 1): (2, 3),
+        (3, 1): (1, 1), (3, 2): (1, 2)}
+
+
+@pytest.mark.parametrize("label,rank", sorted(POSITIVE_ROOT_COUNTS))
+def test_coroots_match_symmetrizer_formula(label, rank):
+    # beta^vee = 2 beta / (beta, beta) = sum_i c_i (d_i / d_beta) alpha_i^vee
+    # with d_beta = (beta, beta) / 2 = sum_ij c_i c_j d_i a_ij / 2.
+    rs = build_root_system(label, rank)
+    a, d = rs.cartan_matrix, SYMMETRIZERS[(label, rank)]
+    assert len(rs.coroots) == 2 * len(rs.positive_roots)
+    for c, coroot in rs.coroots.items():
+        d_beta = Fraction(sum(c[i] * c[j] * d[i] * a[i][j]
+                              for i in range(rank) for j in range(rank)), 2)
+        assert coroot == tuple(c[i] * d[i] / d_beta for i in range(rank))
+
+
+@pytest.mark.parametrize("label,rank", sorted(POSITIVE_ROOT_COUNTS))
+def test_coroots_are_roots_of_dual_type(label, rank):
+    rs = build_root_system(label, rank)
+    dual_label, dual_rank, backwards = DUALS.get((label, rank),
+                                                 (label, rank, False))
+    dual = build_root_system(dual_label, dual_rank)
+    order = slice(None, None, -1 if backwards else 1)
+    assert {c[order] for c in rs.coroots.values()} == set(dual.coroots)
+    for beta in rs.positive_roots:
+        coroot = rs.coroots[beta.coords]
+        assert pair_with_coroot(rs, weight_of_root(rs, beta), beta) == 2
+        assert rs.coroots[(-beta).coords] == tuple(-x for x in coroot)
 
 
 @pytest.mark.parametrize("label,rank", [
@@ -157,8 +211,8 @@ def test_delta_pairs_to_one_on_simples():
 
 
 def test_b2_delta_on_nonsimple_roots():
-    # a1+a2 is short (coroot a1^ + 2 a2^, value 1+2), a1+2a2 is long
-    # (coroot a1^ + a2^, value 1+1); derived by hand from the symmetrizer.
+    # a1+a2 is short (coroot 2 a1^ + a2^, value 2+1), a1+2a2 is long
+    # (coroot a1^ + a2^, value 1+1); derived by hand in test_b2_cartan_convention.
     rs = build_root_system("B", 2)
     delta = half_sum_positive_roots(rs)
     assert pair_with_coroot(rs, delta, Root((1, 1))) == 3
@@ -224,6 +278,13 @@ def test_generic_pairing_never_integer():
     # zero coefficient kills the tag
     mu = weight("generic", 3)
     assert pair_with_coroot(rs, mu, Root((0, 1))) == 3
+
+
+def test_generic_on_zero_coroot_coordinate_pairs_to_rational():
+    rs = build_root_system("B", 2)
+    lam = weight("1/2", "generic")
+    assert pair_with_coroot(rs, lam, rs.simple_root(1)) == Fraction(1, 2)
+    assert pair_with_coroot(rs, lam, Root((1, 1))) == GENERIC
 
 
 # -- rendering ---------------------------------------------------------------
