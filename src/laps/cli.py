@@ -26,7 +26,7 @@ from .parahoric import (ParabolicType, build_weyl_group, double_cosets,
                         iwahori_root_partition, weyl_element)
 from .roots import GENERIC, Generic, Root, Weight, build_root_system
 from .verma import (ALL_POSITIVE, DELTA_ONLY, VARIANTS, VermaModule,
-                    bgg_criterion, character_weight, kostant_partitions,
+                    bgg_criterion, character_weight, kostant_counts,
                     simplicity_oracle)
 
 _GROUP_RE = re.compile(r"([A-G])([1-9])")
@@ -523,11 +523,9 @@ def _run_cosets(cfg: ProblemConfig) -> dict:
     subset_j = (ParabolicType.of(cfg.subset_j)
                 if cfg.subset_j is not None else subset_i)
     decomposition = double_cosets(group, subset_i, subset_j)
-    rows = []
-    for rep, size in zip(decomposition.representatives,
-                         decomposition.coset_sizes()):
-        rows.append({"representative": str(rep), "length": rep.length,
-                     "size": size})
+    rows = [{"representative": str(rep), "length": rep.length, "size": size}
+            for rep, size in zip(decomposition.representatives,
+                                 decomposition.coset_sizes())]
     return {
         "group": cfg.group_text,
         "I": list(subset_i.indices),
@@ -562,17 +560,12 @@ def _run_weights(cfg: ProblemConfig) -> dict:
     if len(lam.pairings) != rs.rank:
         raise ValueError("weight arity %d does not match rank %d"
                          % (len(lam.pairings), rs.rank))
-    bound = cfg.height_bound
-    nus = [()]
-    for _ in range(rs.rank):
-        nus = [nu + (k,) for nu in nus for k in range(bound + 1 - sum(nu))]
-    rows = [{"nu": str(Root(nu)), "height": sum(nu),
-             "dimension": len(kostant_partitions(rs, nu))}
-            for nu in sorted(nus, key=lambda c: (sum(c), c))]
+    rows = [{"nu": str(Root(nu)), "height": sum(nu), "dimension": count}
+            for nu, count in kostant_counts(rs, cfg.height_bound).items()]
     return {
         "group": cfg.group_text,
         "lambda": [_fmt(x) for x in lam.pairings],
-        "height_bound": bound,
+        "height_bound": cfg.height_bound,
         "rows": rows,
     }
 

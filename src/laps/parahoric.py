@@ -2,11 +2,13 @@
 
 Elements act on simple-root coordinates by integer matrices; the reduced
 word stored on each element is the canonical one (smallest right descent
-last), so equality of elements is equality of matrices.
+last), so equality of elements is equality of matrices. Products are taken
+one simple reflection at a time, as local updates (CONVENTIONS.md).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Tuple
 
@@ -33,8 +35,7 @@ class WeylElement:
         if len(c) != len(self.matrix):
             raise ValueError("root arity %d does not match rank %d"
                              % (len(c), len(self.matrix)))
-        return Root(tuple(sum(row[j] * c[j] for j in range(len(c)))
-                          for row in self.matrix))
+        return Root(tuple(sum(a * x for a, x in zip(row, c)) for row in self.matrix))
 
     def __str__(self) -> str:
         return "e" if not self.word else "*".join("s%d" % i for i in self.word)
@@ -59,48 +60,40 @@ class DoubleCosetDecomposition:
     coset_map: Dict[WeylElement, WeylElement] = field(repr=False)
 
     def coset_sizes(self) -> Tuple[int, ...]:
-        counts: Dict[WeylElement, int] = {}
-        for rep in self.coset_map.values():
-            counts[rep] = counts.get(rep, 0) + 1
+        counts = Counter(self.coset_map.values())
         return tuple(counts[rep] for rep in self.representatives)
-
-
-def mat_mul(x: IntMatrix, y: IntMatrix) -> IntMatrix:
-    yt = tuple(zip(*y))
-    return tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in yt)
-                 for row in x)
 
 
 def _identity(rank: int) -> IntMatrix:
     return tuple(tuple(1 if i == j else 0 for j in range(rank)) for i in range(rank))
 
 
-def simple_reflection_matrix(rs: RootSystem, i: int) -> IntMatrix:
-    """Matrix of s_i on simple-root coordinates, 1-based index."""
-    if not 1 <= i <= rs.rank:
-        raise ValueError("simple reflection index %r out of range 1..%d" % (i, rs.rank))
-    a = rs.cartan_matrix
-    return tuple(tuple((1 if k == j else 0) - (a[i - 1][j] if k == i - 1 else 0)
-                       for j in range(rs.rank))
-                 for k in range(rs.rank))
+def _times_s(m: IntMatrix, cartan, i: int) -> IntMatrix:
+    """m * s_i, i 0-based: column j loses a_ij times column i."""
+    a = cartan[i]
+    return tuple(tuple(v - row[i] * c for v, c in zip(row, a)) if row[i] else row
+                 for row in m)
+
+
+def _s_times(cartan, i: int, m: IntMatrix) -> IntMatrix:
+    """s_i * m, i 0-based: row i loses sum_j a_ij times row j."""
+    new = m[i]
+    for a, row in zip(cartan[i], m):
+        if a:
+            new = tuple(v - a * x for v, x in zip(new, row))
+    return m[:i] + (new,) + m[i + 1:]
 
 
 def _descent_word(rs: RootSystem, matrix: IntMatrix) -> Tuple[int, ...]:
     """Canonical reduced word, peeling right descents smallest index first."""
-    gens = [simple_reflection_matrix(rs, i) for i in range(1, rs.rank + 1)]
     ident = _identity(rs.rank)
-    suffix = []
-    m = matrix
+    suffix, m = [], matrix
     while m != ident:
-        for i in range(rs.rank):
-            if all(m[k][i] <= 0 for k in range(rs.rank)):
-                break
-        else:
+        i = next((i for i in range(rs.rank) if all(row[i] <= 0 for row in m)), None)
+        if i is None or len(suffix) == len(rs.positive_roots):
             raise ValueError("matrix is not a Weyl group element")
         suffix.append(i + 1)
-        m = mat_mul(m, gens[i])
-        if len(suffix) > len(rs.positive_roots):
-            raise ValueError("matrix is not a Weyl group element")
+        m = _times_s(m, rs.cartan_matrix, i)
     return tuple(reversed(suffix))
 
 
@@ -108,13 +101,15 @@ def weyl_element(rs: RootSystem, word: Iterable[int]) -> WeylElement:
     """Element from any word in the generators; the stored word is canonical."""
     m = _identity(rs.rank)
     for i in word:
-        m = mat_mul(m, simple_reflection_matrix(rs, i))
+        if not 1 <= i <= rs.rank:
+            raise ValueError("simple reflection index %r out of range 1..%d"
+                             % (i, rs.rank))
+        m = _times_s(m, rs.cartan_matrix, i - 1)
     return WeylElement(m, _descent_word(rs, m))
 
 
 def multiply(rs: RootSystem, a: WeylElement, b: WeylElement) -> WeylElement:
-    m = mat_mul(a.matrix, b.matrix)
-    return WeylElement(m, _descent_word(rs, m))
+    return weyl_element(rs, a.word + b.word)
 
 
 def invert(rs: RootSystem, a: WeylElement) -> WeylElement:
@@ -125,17 +120,17 @@ def build_weyl_group(rs: RootSystem, cap: int = WEYL_ORDER_CAP) -> Tuple[WeylEle
     """The whole Weyl group by breadth-first closure, sorted by (length, word).
     With the generators as the outer loop, each element is first reached
     through its smallest right descent, so its word is the canonical one."""
-    gens = [simple_reflection_matrix(rs, i) for i in range(1, rs.rank + 1)]
+    cartan = rs.cartan_matrix
     ident = _identity(rs.rank)
     seen: Dict[IntMatrix, Tuple[int, ...]] = {ident: ()}
     frontier = [ident]
     while frontier:
         new = []
-        for i, g in enumerate(gens, start=1):
+        for i in range(rs.rank):
             for m in frontier:
-                prod = mat_mul(m, g)
+                prod = _times_s(m, cartan, i)
                 if prod not in seen:
-                    seen[prod] = seen[m] + (i,)
+                    seen[prod] = seen[m] + (i + 1,)
                     new.append(prod)
                     if len(seen) > cap:
                         raise ResourceLimitError(
@@ -146,10 +141,8 @@ def build_weyl_group(rs: RootSystem, cap: int = WEYL_ORDER_CAP) -> Tuple[WeylEle
 
 
 def _normalize_indices(group_rank: int, indices) -> Tuple[int, ...]:
-    if isinstance(indices, ParabolicType):
-        idx = indices.indices
-    else:
-        idx = ParabolicType.of(indices).indices
+    idx = (indices if isinstance(indices, ParabolicType)
+           else ParabolicType.of(indices)).indices
     for i in idx:
         if not 1 <= i <= group_rank:
             raise ValueError("parabolic index %d out of range 1..%d" % (i, group_rank))
@@ -162,37 +155,29 @@ def double_cosets(group: Tuple[WeylElement, ...], I, J) -> DoubleCosetDecomposit
     The representative of each orbit is its minimal element by (length, word).
     """
     by_matrix = {w.matrix: w for w in group}
-    gen_matrices = {w.word[0]: w.matrix for w in group if w.length == 1}
-    rank = len(gen_matrices)
-    left = [gen_matrices[i] for i in _normalize_indices(rank, I)]
-    right = [gen_matrices[j] for j in _normalize_indices(rank, J)]
+    gens = {w.word[0]: w.matrix for w in group if w.length == 1}
+    rank = len(gens)
+    cartan = tuple(tuple((1 if i == j else 0) - gens[i + 1][i][j]  # s_i[i][j]
+                         for j in range(rank)) for i in range(rank))
+    left = [i - 1 for i in _normalize_indices(rank, I)]
+    right = [j - 1 for j in _normalize_indices(rank, J)]
 
     coset_map: Dict[WeylElement, WeylElement] = {}
     representatives = []
+    # In (length, word) order the first element met in an orbit is its minimum.
     for w in sorted(group, key=lambda x: (x.length, x.word)):
         if w in coset_map:
             continue
-        orbit = {w.matrix}
-        frontier = [w.matrix]
-        while frontier:
-            new = []
-            for m in frontier:
-                for g in left:
-                    cand = mat_mul(g, m)
-                    if cand not in orbit:
-                        orbit.add(cand)
-                        new.append(cand)
-                for g in right:
-                    cand = mat_mul(m, g)
-                    if cand not in orbit:
-                        orbit.add(cand)
-                        new.append(cand)
-            frontier = new
-        members = [by_matrix[m] for m in orbit]
-        rep = min(members, key=lambda x: (x.length, x.word))
-        representatives.append(rep)
-        for member in members:
-            coset_map[member] = rep
+        orbit, todo = {w.matrix}, [w.matrix]
+        for m in todo:  # todo grows while it is walked
+            for cand in ([_s_times(cartan, i, m) for i in left]
+                         + [_times_s(m, cartan, j) for j in right]):
+                if cand not in orbit:
+                    orbit.add(cand)
+                    todo.append(cand)
+        representatives.append(w)
+        for m in orbit:
+            coset_map[by_matrix[m]] = w
     return DoubleCosetDecomposition(tuple(representatives), coset_map)
 
 
@@ -205,11 +190,9 @@ def iwahori_root_partition(rs: RootSystem, I, w: WeylElement):
     """
     idx = set(_normalize_indices(rs.rank, I))
     w_inv = invert(rs, w)
-    all_roots = [r for beta in rs.positive_roots for r in (beta, -beta)]
-    kept = [r for r in all_roots
+    kept = [r for beta in rs.positive_roots for r in (beta, -beta)
             if not all(c == 0 or (k + 1) in idx for k, c in enumerate(r.coords))]
     plus, minus = [], []
     for r in kept:
         (plus if w_inv.apply(r).sign > 0 else minus).append(r)
-    key = lambda r: r.coords
-    return tuple(sorted(plus, key=key)), tuple(sorted(minus, key=key))
+    return tuple(sorted(plus)), tuple(sorted(minus))  # Root orders by coords

@@ -324,6 +324,29 @@ def kostant_partitions(rs: RootSystem, nu: Coords) -> Tuple[Coords, ...]:
     return tuple(partitions(rs.positive_roots, tuple(nu)))
 
 
+def kostant_counts(rs: RootSystem, height_bound: int) -> Dict[Coords, int]:
+    """p(nu), the Kostant partition count, for every nu in Q+ of height at
+    most height_bound, in (height, coordinates) order: the coefficients of
+    prod_{beta > 0} (1 - e^{-beta})^{-1}, by one in-place coin-change pass
+    over the positive roots with nu going up in height. nu is keyed by its
+    digits in base height_bound + 1, so the key of nu + beta is a sum."""
+    base = height_bound + 1
+    nus = [()]
+    for _ in range(rs.rank):
+        nus = [nu + (k,) for nu in nus for k in range(base - sum(nu))]
+    nus.sort(key=sum)  # stable: lexicographic within a height
+    key = lambda c: sum(x * base ** k for k, x in enumerate(c))
+    keys = [(key(nu), sum(nu)) for nu in nus]
+    counts = {k: int(k == 0) for k, _ in keys}
+    for beta in rs.positive_roots:
+        shift, top = key(beta.coords), height_bound - beta.height
+        for k, h in keys:
+            if h > top:
+                break
+            counts[k + shift] += counts[k]
+    return {nu: counts[k] for nu, (k, _) in zip(nus, keys)}
+
+
 def _depth(module: VermaModule, mu: Weight):
     """nu in Q+ (simple-root coordinates) with mu = lam - nu, or None."""
     if not mu.is_rational():

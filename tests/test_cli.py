@@ -16,6 +16,7 @@ from laps import (ALL_POSITIVE, ConfigError, Root, Weight, bgg_criterion,
                   build_root_system)
 from laps.cli import (ProblemConfig, main, parse_config, render_machine,
                       render_text, run)
+from laps.verma import kostant_partitions
 
 GL2_GOOD = """\
 # a smooth character pair
@@ -329,6 +330,7 @@ _B3_ROOTS = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1),
 _D4_ROOTS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
              (1, 1, 0, 0), (0, 1, 1, 0), (0, 1, 0, 1), (1, 1, 1, 0),
              (1, 1, 0, 1), (0, 1, 1, 1), (1, 1, 1, 1), (1, 2, 1, 1))
+_G2_ROOTS = ((1, 0), (0, 1), (1, 1), (2, 1), (3, 1), (3, 2))
 
 
 def _coin_change_counts(roots, height):
@@ -354,9 +356,11 @@ def _nu_text(nu):
 
 
 @pytest.mark.parametrize("group,roots,height", [
-    ("B3", _B3_ROOTS, 4), ("D4", _D4_ROOTS, 3),
+    ("B3", _B3_ROOTS, 4), ("D4", _D4_ROOTS, 3), ("G2", _G2_ROOTS, 6),
 ])
 def test_weights_are_kostant_counts(group, roots, height):
+    # Two references: the coin-change recursion above, and the length of
+    # the enumerator's list of partitions, a different algorithm.
     text = "group = %s\nheight_bound = %d\n" % (group, height)
     payload = run(_cfg(text), "weights").payload
     expected = {_nu_text(nu): n
@@ -364,6 +368,21 @@ def test_weights_are_kostant_counts(group, roots, height):
     got = {row["nu"]: row["dimension"] for row in payload["rows"]}
     assert len(got) == len(payload["rows"])
     assert got == expected
+    rs = build_root_system(group[0], int(group[1]))
+    assert got == {_nu_text(nu): len(kostant_partitions(rs, nu))
+                   for nu in _coin_change_counts(roots, height)}
+
+
+def test_main_weights_b4_height_12_is_quick(tmp_path, capsys):
+    # Listing every partition took over 20 s on this config; counting the
+    # whole table takes milliseconds.
+    path = _write(tmp_path, "group = B4\nheight_bound = 12\n")
+    start = time.perf_counter()
+    assert main(["weights", "--config", path, "--format", "machine"]) == 0
+    assert time.perf_counter() - start < 2.0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert len(rows) == 1820  # nu in N^4 with height <= 12: C(16, 4)
+    assert rows[-1] == {"nu": "12a1", "height": 12, "dimension": 1}
 
 
 def test_main_weights_g2(tmp_path, capsys):

@@ -1,9 +1,10 @@
 """Weyl group combinatorics: enumeration, canonical words, double cosets,
 and the root-sign partition.
 
-The double-coset counts are checked against a brute-force orbit oracle
-that multiplies out u * w * v over the full parabolic subgroups, with no
-shared code with the production BFS. The A2 count for I = J = {1} is 2
+The one-reflection updates and the double cosets are checked against full
+integer matrix products written here, with no shared code with the
+production BFS: the orbit oracle multiplies out u * w * v over the full
+parabolic subgroups. The A2 count for I = J = {1} is 2
 (cosets {e, s1} and the four remaining elements); a one-sided count over
 the same data gives 3.
 """
@@ -16,7 +17,7 @@ import pytest
 from laps import (ParabolicType, ResourceLimitError, Root, build_root_system,
                   build_weyl_group, double_cosets, iwahori_root_partition,
                   weyl_element)
-from laps.parahoric import invert, multiply
+from laps.parahoric import _s_times, _times_s, invert, multiply
 
 # Every type within the rank cap whose group fits under WEYL_ORDER_CAP.
 WEYL_ORDERS = {
@@ -25,6 +26,21 @@ WEYL_ORDERS = {
     ("C", 2): 8, ("C", 3): 48, ("C", 4): 384,
     ("D", 3): 24, ("D", 4): 192, ("G", 2): 12,
 }
+
+
+# -- full products, independent of laps.parahoric ----------------------------
+
+def _mat_mul(x, y):
+    return tuple(tuple(sum(x[r][k] * y[k][c] for k in range(len(y)))
+                       for c in range(len(y[0]))) for r in range(len(x)))
+
+
+def _reflection(rs, i):
+    """s_i (0-based) on simple-root coordinates: only coordinate i changes,
+    c_i -> c_i - sum_j a_ij c_j (CONVENTIONS.md)."""
+    a = rs.cartan_matrix
+    return tuple(tuple((k == j) - (a[i][j] if k == i else 0)
+                       for j in range(rs.rank)) for k in range(rs.rank))
 
 
 # -- group construction ------------------------------------------------------
@@ -46,6 +62,27 @@ def test_closure_words_match_descent_words(label, rank):
         again = weyl_element(rs, w.word)
         assert again.matrix == w.matrix
         assert again.word == w.word
+
+
+@pytest.mark.parametrize("label,rank", sorted(WEYL_ORDERS))
+def test_one_reflection_updates_match_full_products(label, rank):
+    rs = build_root_system(label, rank)
+    gens = [_reflection(rs, i) for i in range(rank)]
+    for w in build_weyl_group(rs):
+        for i, s in enumerate(gens):
+            assert _times_s(w.matrix, rs.cartan_matrix, i) == _mat_mul(w.matrix, s)
+            assert _s_times(rs.cartan_matrix, i, w.matrix) == _mat_mul(s, w.matrix)
+
+
+@pytest.mark.parametrize("label,rank", [("B", 2), ("G", 2), ("A", 3)])
+def test_multiply_matches_full_product(label, rank):
+    rs = build_root_system(label, rank)
+    group = build_weyl_group(rs)
+    by_matrix = {w.matrix: w for w in group}
+    for a in group:
+        for b in group:
+            ab = multiply(rs, a, b)
+            assert ab == by_matrix[_mat_mul(a.matrix, b.matrix)]
 
 
 @pytest.mark.parametrize("label,rank", [("A", 2), ("B", 2), ("G", 2)])
@@ -112,34 +149,49 @@ def test_parabolic_type_normalizes():
 # -- double cosets -----------------------------------------------------------
 
 def _orbit_oracle(rs, group, I, J):
-    """Independent double-coset count: multiply out the full products."""
-    sub_i = _parabolic_elements(rs, group, I)
-    sub_j = _parabolic_elements(rs, group, J)
+    """Independent double cosets: multiply out the full products u * w * v.
+    Returns the orbits as sets of matrices."""
+    sub_i = _parabolic_matrices(rs, I)
+    sub_j = _parabolic_matrices(rs, J)
     orbits = []
     seen = set()
     for w in group:
         if w.matrix in seen:
             continue
-        orbit = {multiply(rs, multiply(rs, u, w), v).matrix
-                 for u in sub_i for v in sub_j}
+        orbit = {_mat_mul(uw, v) for uw in (_mat_mul(u, w.matrix) for u in sub_i)
+                 for v in sub_j}
         seen |= orbit
         orbits.append(orbit)
     return orbits
 
 
-def _parabolic_elements(rs, group, indices):
-    members = [weyl_element(rs, ())]
+def _parabolic_matrices(rs, indices):
+    """W_I as a set of matrices, closed under right products with s_i."""
+    gens = [_reflection(rs, i - 1) for i in indices]
+    members = {tuple(tuple(int(r == c) for c in range(rs.rank))
+                     for r in range(rs.rank))}
     frontier = list(members)
     while frontier:
         new = []
-        for w in frontier:
-            for i in indices:
-                cand = multiply(rs, w, weyl_element(rs, (i,)))
-                if all(cand.matrix != m.matrix for m in members):
-                    members.append(cand)
+        for m in frontier:
+            for g in gens:
+                cand = _mat_mul(m, g)
+                if cand not in members:
+                    members.add(cand)
                     new.append(cand)
         frontier = new
     return members
+
+
+def _assert_matches_oracle(rs, group, I, J):
+    dec = double_cosets(group, ParabolicType.of(I), ParabolicType.of(J))
+    oracle = _orbit_oracle(rs, group, I, J)
+    assert len(dec.representatives) == len(oracle)
+    assert sorted(dec.coset_sizes()) == sorted(len(o) for o in oracle)
+    assert set(dec.coset_map) == set(group)
+    for rep in dec.representatives:
+        members = {w.matrix for w, r in dec.coset_map.items() if r == rep}
+        assert members in oracle
 
 
 def test_trivial_parabolic_gives_singletons():
@@ -211,6 +263,31 @@ def test_mixed_parabolics():
     oracle = _orbit_oracle(rs, group, (1,), (2,))
     assert len(dec.representatives) == len(oracle)
     assert sum(dec.coset_sizes()) == 6
+
+
+def _subsets(rank):
+    return [I for take in range(rank + 1)
+            for I in itertools.combinations(range(1, rank + 1), take)]
+
+
+@pytest.mark.parametrize("label,rank", [("A", 3), ("B", 3), ("C", 3), ("D", 3)])
+def test_rank3_cosets_match_orbit_oracle_for_every_pair(label, rank):
+    rs = build_root_system(label, rank)
+    group = build_weyl_group(rs)
+    for I in _subsets(rank):
+        for J in _subsets(rank):
+            _assert_matches_oracle(rs, group, I, J)
+
+
+def test_d4_cosets_match_orbit_oracle_on_a_sample():
+    rs = build_root_system("D", 4)
+    group = build_weyl_group(rs)
+    subsets = _subsets(4)
+    pairs = [((), ()), ((2,), (2,)), ((1, 3, 4), (1, 3, 4)), ((1, 2, 3, 4), ())]
+    pairs += random.Random(2718).sample(
+        [(I, J) for I in subsets for J in subsets], 8)
+    for I, J in pairs:
+        _assert_matches_oracle(rs, group, I, J)
 
 
 def test_double_cosets_rejects_bad_indices():

@@ -24,7 +24,8 @@ from laps import (ALL_POSITIVE, DELTA_ONLY, GENERIC, PBWVector,
                   restriction_of_scalars_check, simplicity_oracle,
                   singular_vectors, weight, weight_of_root,
                   weight_space_basis)
-from laps.verma import VermaModule, verma_module
+from laps.verma import (VermaModule, kostant_counts, kostant_partitions,
+                        verma_module)
 
 
 def _sl2(lam_h):
@@ -170,6 +171,20 @@ def test_weight_space_dimension_matches_partition_count():
                     for j in range(2)) for i in range(2)))
             count = _partition_count(rs, (nu1, nu2))
             assert len(weight_space_basis(module, mu)) == count
+
+
+@pytest.mark.parametrize("label,rank,height", [
+    ("A", 1, 6), ("A", 3, 5), ("A", 4, 4), ("B", 2, 6), ("B", 4, 5),
+    ("C", 3, 5), ("C", 4, 5), ("D", 4, 5), ("G", 2, 7), ("F", 4, 5),
+])
+def test_kostant_counts_match_the_enumerator(label, rank, height):
+    rs = build_root_system(label, rank)
+    counts = kostant_counts(rs, height)
+    box = [nu for nu in itertools.product(range(height + 1), repeat=rank)
+           if sum(nu) <= height]
+    assert list(counts) == sorted(box, key=lambda nu: (sum(nu), nu))
+    for nu, n in counts.items():
+        assert n == len(kostant_partitions(rs, nu))
 
 
 def _partition_count(rs, nu):
