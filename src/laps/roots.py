@@ -9,9 +9,11 @@ convention a_ij = alpha_j(H_{alpha_i}) are fixed in CONVENTIONS.md.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Tuple, Union
+from types import MappingProxyType
+from typing import Mapping, Tuple, Union
 
 from .errors import ConfigError
 
@@ -89,14 +91,18 @@ class Root:
         return Root(tuple(-c for c in self.coords))
 
     def __str__(self) -> str:
-        if self.sign < 0:
-            return "-(%s)" % (-self)
-        parts = []
+        """a1+2a2 when no coordinate is negative, -(a1+a2) when none is
+        positive, a1-a2 for mixed signs, and 0 for the zero vector."""
+        text = ""
         for i, c in enumerate(self.coords, start=1):
-            if c == 0:
-                continue
-            parts.append("a%d" % i if c == 1 else "%da%d" % (c, i))
-        return "+".join(parts) if parts else "0"
+            if c > 0:
+                text += "+a%d" % i if c == 1 else "+%da%d" % (c, i)
+            elif c < 0:
+                text += "-a%d" % i if c == -1 else "-%da%d" % (-c, i)
+        if "+" in text:
+            return text[1:] if text[0] == "+" else text
+        # every term is negative: "-a1-a2" prints as -(a1+a2)
+        return "-(%s)" % text[1:].replace("-", "+") if text else "0"
 
 
 @dataclass(frozen=True)
@@ -133,15 +139,19 @@ def weight(*values) -> Weight:
 
 @dataclass(frozen=True)
 class RootSystem:
-    """Cartan data of one irreducible type plus its positive roots."""
+    """Cartan data of one irreducible type plus its positive roots.
+
+    build_root_system shares one instance per type between all callers, so
+    every field is immutable.
+    """
 
     type_label: str
     rank: int
     cartan_matrix: Tuple[Tuple[int, ...], ...]
     positive_roots: Tuple[Root, ...]
     # Coordinates of every root, positive and negative, mapped to its
-    # coroot in simple-coroot coordinates.
-    coroots: Dict[Coords, Coords] = field(compare=False, hash=False, repr=False)
+    # coroot in simple-coroot coordinates; a read-only view.
+    coroots: Mapping[Coords, Coords] = field(compare=False, hash=False, repr=False)
 
     def simple_root(self, i: int) -> Root:
         """The i-th simple root, 1-based."""
@@ -155,6 +165,11 @@ class RootSystem:
 
     def is_root(self, root: Root) -> bool:
         return root.coords in self.coroots
+
+    @functools.cached_property
+    def delta(self) -> Weight:
+        """The Weyl vector, half_sum_positive_roots(self), computed once."""
+        return half_sum_positive_roots(self)
 
 
 def _validate_type(type_label: str, rank: int) -> None:
@@ -216,12 +231,15 @@ def reflect_simple(rs: RootSystem, i: int, root: Root) -> Root:
     return Root(_reflect(rs.cartan_matrix, i - 1, root.coords))
 
 
+@functools.cache
 def build_root_system(type_label: str, rank: int) -> RootSystem:
     """Construct the root system for a Dynkin type within the rank cap.
 
     The pairs (root, coroot) are closed under the simple reflections from
     (alpha_i, alpha_i^vee), since s_j(beta)^vee = s_j(beta^vee). Positive
     roots come back sorted by height, then lexicographically on coordinates.
+    Each valid type is built once per process and the instance is shared;
+    an invalid one raises ConfigError on every call, as nothing is cached.
     """
     _validate_type(type_label, rank)
     cartan = _cartan_matrix(type_label, rank)
@@ -238,7 +256,8 @@ def build_root_system(type_label: str, rank: int) -> RootSystem:
                 stack.append(image)
     positive = sorted((Root(c) for c in coroots if min(c) >= 0),
                       key=lambda r: (r.height, r.coords))
-    return RootSystem(type_label, rank, cartan, tuple(positive), coroots)
+    return RootSystem(type_label, rank, cartan, tuple(positive),
+                      MappingProxyType(coroots))
 
 
 def weight_of_root(rs: RootSystem, root: Root) -> Weight:

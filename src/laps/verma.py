@@ -29,8 +29,7 @@ from . import linalg
 from .errors import ResourceLimitError
 from .lie import realize
 from .roots import (Coords, Entry, Generic, Root, RootSystem, Weight,
-                    build_root_system, half_sum_positive_roots, pair_with_coroot,
-                    weight_of_root)
+                    build_root_system, pair_with_coroot, weight_of_root)
 
 DELTA_ONLY = "delta-only"
 ALL_POSITIVE = "all-positive"
@@ -77,8 +76,7 @@ def bgg_criterion(rs: RootSystem, lam: Weight, variant: str = ALL_POSITIVE) -> C
     if len(lam.pairings) != rs.rank:
         raise ValueError("weight arity %d does not match rank %d"
                          % (len(lam.pairings), rs.rank))
-    delta = half_sum_positive_roots(rs)
-    shifted = lam + delta
+    shifted = lam + rs.delta
     candidates = rs.simple_roots if variant == DELTA_ONLY else rs.positive_roots
     witnesses = []
     for beta in candidates:
@@ -104,17 +102,14 @@ def character_weight(rs: RootSystem, exponents) -> Weight:
     return Weight(tuple(-(exps[i] - exps[i + 1]) for i in range(rs.rank)))
 
 
-_GL2 = build_root_system("A", 1)
-
-
 def gl2_character_criterion(c1, c2, variant: str = ALL_POSITIVE) -> CriterionReport:
     """Criterion for a GL2 character with exponents (c1, c2).
 
     Routed through the root-system criterion at lam(H) = -(c1 - c2); the
     module is simple exactly when -(c1 - c2) is not a nonnegative integer.
     """
-    lam = character_weight(_GL2, (c1, c2))
-    return bgg_criterion(_GL2, lam, variant)
+    rs = build_root_system("A", 1)
+    return bgg_criterion(rs, character_weight(rs, (c1, c2)), variant)
 
 
 @dataclass(frozen=True)

@@ -768,3 +768,34 @@ def test_main_every_command_runs(tmp_path, capsys):
         data = json.loads(capsys.readouterr().out)
         assert data["command"] == command
         assert "provenance" in data
+
+
+def test_main_repeated_calls_leak_no_state(tmp_path, capsys):
+    # Calls in one process share the cached root systems; a flag given to
+    # one call must not reach the next, and help and usage errors repeat.
+    sl3 = _write(tmp_path, "group = A2\nlambda = [-1/2, -1/2]\n", "sl3.cfg")
+    gl2 = _write(tmp_path, GL2_GOOD, "gl2.cfg")
+
+    def out(argv):
+        assert main(argv) == 0
+        return capsys.readouterr().out
+
+    def exits(argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        return exc.value.code, capsys.readouterr()
+
+    plain = {path: out(["check", "--config", path]) for path in (sl3, gl2)}
+    usage = exits(["check"])
+    assert usage[0] == 1 and "--config" in usage[1].err
+    help_text = exits(["--help"])
+    assert help_text[0] == 0 and "check" in help_text[1].out
+    for path, variant, bound in ((sl3, "both", 2), (gl2, "delta-only", 3)):
+        flagged = json.loads(out(["check", "--config", path, "--variant",
+                                  variant, "--oracle-bound", str(bound),
+                                  "--format", "machine"]))
+        assert flagged["variant"] == variant
+        assert flagged["oracle"][0]["bound"] == bound
+        assert out(["check", "--config", path]) == plain[path]
+    assert exits(["check"]) == usage
+    assert exits(["--help"]) == help_text

@@ -155,6 +155,30 @@ def test_invalid_types_rejected(label, rank):
         build_root_system(label, rank)
 
 
+def test_root_systems_are_shared_and_read_only():
+    rs = build_root_system("B", 3)
+    assert build_root_system("B", 3) is rs
+    with pytest.raises(TypeError):
+        rs.coroots[(9, 9, 9)] = (1, 1, 1)
+    with pytest.raises(TypeError):
+        del rs.coroots[(1, 0, 0)]
+    assert (9, 9, 9) not in build_root_system("B", 3).coroots
+
+
+def test_invalid_type_rejected_on_every_call():
+    # a failed build is not cached, so a repeat fails the same way
+    for _ in range(3):
+        with pytest.raises(ConfigError, match="E5"):
+            build_root_system("E", 5)
+
+
+@pytest.mark.parametrize("label,rank", sorted(POSITIVE_ROOT_COUNTS))
+def test_delta_is_half_sum_computed_once(label, rank):
+    rs = build_root_system(label, rank)
+    assert rs.delta == half_sum_positive_roots(rs)
+    assert rs.delta is rs.delta
+
+
 # -- reflections -------------------------------------------------------------
 
 @pytest.mark.parametrize("label,rank", [
@@ -293,6 +317,15 @@ def test_root_str():
     assert str(Root((1, 0))) == "a1"
     assert str(Root((1, 2))) == "a1+2a2"
     assert str(-Root((1, 1))) == "-(a1+a2)"
+    assert str(Root((0, -2))) == "-(2a2)"
+    assert str(Root((0, 0))) == "0"
+
+
+def test_root_str_mixed_signs():
+    # not roots, but differences of them; the sign goes on each term
+    assert str(Root((1, -1))) == "a1-a2"
+    assert str(Root((-1, 1))) == "-a1+a2"
+    assert str(Root((2, -3, 0, 1))) == "2a1-3a2+a4"
 
 
 def test_root_height_and_sign():
