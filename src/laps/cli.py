@@ -14,7 +14,6 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
@@ -24,6 +23,7 @@ from .padic import (_PRIME_BOUND, INF, dist_series, is_prime,
                     mahler_coefficients, r_norm, RNormParam)
 from .parahoric import (ParabolicType, build_weyl_group, double_cosets,
                         iwahori_root_partition, weyl_element)
+from .record import Record, Value
 from .roots import GENERIC, Generic, Root, Weight, build_root_system
 from .verma import (ALL_POSITIVE, DELTA_ONLY, VARIANTS, VermaModule,
                     bgg_criterion, character_weight, kostant_counts,
@@ -36,32 +36,32 @@ VERDICT_IRREDUCIBLE = "irreducible"
 VERDICT_INCONCLUSIVE = "inconclusive"
 
 
-@dataclass
-class ProblemConfig:
-    """Parsed and validated problem description."""
+class ProblemConfig(Value):
+    """Parsed and validated problem description. parse_config fills it in
+    key by key, so it is mutable, and so unhashable."""
 
-    group_kind: str = ""
-    group_text: str = ""
-    type_label: str = ""
-    rank: int = 0
-    gamma: int = 0
-    c: Optional[tuple] = None
-    lam: Optional[tuple] = None
-    variant: Optional[str] = None
-    oracle: bool = False
-    oracle_bound: Optional[int] = None
-    subset_i: Optional[Tuple[int, ...]] = None
-    subset_j: Optional[Tuple[int, ...]] = None
-    word: Optional[Tuple[int, ...]] = None
-    height_bound: Optional[int] = None
-    p: Optional[int] = None
-    d: Optional[int] = None
-    degree: Optional[int] = None
-    monomial: Optional[Tuple[int, ...]] = None
-    t: Optional[Fraction] = None
-    tau: Optional[Tuple[Fraction, ...]] = None
-    terms: Optional[tuple] = None
-    echo: Dict[str, str] = field(default_factory=dict)
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, group_kind: str = "", group_text: str = "",
+                 type_label: str = "", rank: int = 0, gamma: int = 0,
+                 c: Optional[tuple] = None, lam: Optional[tuple] = None,
+                 variant: Optional[str] = None, oracle: bool = False,
+                 oracle_bound: Optional[int] = None,
+                 subset_i: Optional[Tuple[int, ...]] = None,
+                 subset_j: Optional[Tuple[int, ...]] = None,
+                 word: Optional[Tuple[int, ...]] = None,
+                 height_bound: Optional[int] = None, p: Optional[int] = None,
+                 d: Optional[int] = None, degree: Optional[int] = None,
+                 monomial: Optional[Tuple[int, ...]] = None,
+                 t: Optional[Fraction] = None,
+                 tau: Optional[Tuple[Fraction, ...]] = None,
+                 terms: Optional[tuple] = None,
+                 echo: Optional[Dict[str, str]] = None):
+        fields = dict(locals(), echo={} if echo is None else echo)
+        del fields["self"]
+        self.__dict__.update(fields)
 
 
 def _tokenize_list(s: str):
@@ -744,10 +744,9 @@ _COMMANDS: Dict[str, _Command] = {
 }
 
 
-@dataclass(frozen=True, eq=False)
-class Report:
-    command: str
-    payload: dict
+class Report(Record):
+    def __init__(self, command: str, payload: dict):
+        self.__dict__.update(command=command, payload=payload)
 
 
 def run(cfg: ProblemConfig, command: str) -> Report:
@@ -792,7 +791,21 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, "%s: error: %s\n" % (self.prog, message))
 
 
-def main(argv=None) -> int:
+def _add_command_arguments(parser, command):
+    parser.add_argument("--config", required=True, metavar="PATH",
+                        help="path to the problem config file")
+    parser.add_argument("--format", choices=("text", "machine"),
+                        default="text", help="report format")
+    if command == "check":
+        parser.add_argument("--variant",
+                            choices=(DELTA_ONLY, ALL_POSITIVE, "both"),
+                            help="criterion variant (overrides the config)")
+        parser.add_argument("--oracle-bound", type=int, dest="oracle_bound",
+                            metavar="N",
+                            help="enable the oracle with this degree bound")
+
+
+def _full_parser():
     parser = _Parser(prog="laps",
                      description="Irreducibility checks for locally analytic "
                                  "principal series and the surrounding "
@@ -801,23 +814,33 @@ def main(argv=None) -> int:
                         version="laps " + __version__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, spec in _COMMANDS.items():
-        cmd = sub.add_parser(name, help=spec.help)
-        cmd.add_argument("--config", required=True, metavar="PATH",
-                         help="path to the problem config file")
-        cmd.add_argument("--format", choices=("text", "machine"),
-                         default="text", help="report format")
-    check = sub.choices["check"]
-    check.add_argument("--variant", choices=(DELTA_ONLY, ALL_POSITIVE, "both"),
-                       help="criterion variant (overrides the config)")
-    check.add_argument("--oracle-bound", type=int, dest="oracle_bound",
-                       metavar="N",
-                       help="enable the oracle with this degree bound")
-    args = parser.parse_args(argv)
+        _add_command_arguments(sub.add_parser(name, help=spec.help), name)
+    return parser
+
+
+def _parse_args(argv):
+    """Parse argv with the named subcommand's parser alone: the full tree
+    would hand that parser the same arguments. The full tree is built only
+    when argv names no subcommand (top-level help, --version, errors) or the
+    subcommand leaves arguments over, so its usage texts and errors stay
+    byte-identical."""
+    if argv and argv[0] in _COMMANDS:
+        parser = _Parser(prog="laps " + argv[0])
+        _add_command_arguments(parser, argv[0])
+        args, extras = parser.parse_known_args(argv[1:])
+        if not extras:
+            args.command = argv[0]
+            return args
+    return _full_parser().parse_args(argv)
+
+
+def main(argv=None) -> int:
+    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
 
     try:
         with open(args.config, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print("laps: cannot read config: %s" % exc, file=sys.stderr)
         return 1
 

@@ -11,9 +11,10 @@ p^(1+eps_p) Zp^d, where eps_p is 1 for p = 2 and 0 otherwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Mapping, Tuple
+
+from .record import Record, Value
 
 INF = float("inf")
 
@@ -76,32 +77,28 @@ def epsilon(p: int) -> int:
     return 1 if p == 2 else 0
 
 
-@dataclass(frozen=True)
-class PValuationSpec:
+class PValuationSpec(Value):
     """A p-valuation on a rank-d commutative uniform model.
 
     omega lists the valuations of the chosen ordered basis; each must
     exceed 1/(p-1).
     """
 
-    p: int
-    d: int
-    omega: Tuple[Fraction, ...]
-
-    def __post_init__(self):
-        _check_prime(self.p)
-        if self.d < 1:
+    def __init__(self, p: int, d: int, omega: Tuple[Fraction, ...]):
+        _check_prime(p)
+        if d < 1:
             raise ValueError("d must be at least 1")
-        if len(self.omega) != self.d:
+        if len(omega) != d:
             raise ValueError("omega arity %d does not match d = %d"
-                             % (len(self.omega), self.d))
-        bound = Fraction(1, self.p - 1)
-        for w in self.omega:
+                             % (len(omega), d))
+        bound = Fraction(1, p - 1)
+        for w in omega:
             if not isinstance(w, Fraction):
                 raise ValueError("omega entries must be Fractions")
             if w <= bound:
                 raise ValueError("omega entry %s must exceed 1/(p-1) = %s"
                                  % (w, bound))
+        self.__dict__.update(p=p, d=d, omega=omega)
 
 
 def p_valuation_of_word(spec: PValuationSpec, exponents) -> object:
@@ -164,24 +161,19 @@ def _normalize_terms(d: int, coefficients: Mapping[Index, Fraction],
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class MahlerSeries:
+class _Series(Record):
+    def __init__(self, p: int, d: int, coefficients: Dict[Index, Fraction],
+                 degree_bound: int):
+        self.__dict__.update(p=p, d=d, coefficients=coefficients,
+                             degree_bound=degree_bound)
+
+
+class MahlerSeries(_Series):
     """Finite Mahler expansion sum_n c_n binom(x, n) of a function on a grid."""
 
-    p: int
-    d: int
-    coefficients: Dict[Index, Fraction]
-    degree_bound: int
 
-
-@dataclass(frozen=True, eq=False)
-class DistSeries:
+class DistSeries(_Series):
     """Finite distribution series sum_n d_n b^n in the basis monomials b^n."""
-
-    p: int
-    d: int
-    coefficients: Dict[Index, Fraction]
-    degree_bound: int
 
 
 def dist_series(p: int, d: int, coefficients: Mapping[Index, Fraction],
@@ -194,22 +186,19 @@ def dist_series(p: int, d: int, coefficients: Mapping[Index, Fraction],
                       degree_bound)
 
 
-@dataclass(frozen=True)
-class RNormParam:
+class RNormParam(Value):
     """Parameters of the r-norm with r = p^(-t), 0 < t < 1.
 
     tau_weights are the basis valuations entering tau(n) = sum n_i tau_i.
     """
 
-    t: Fraction
-    tau_weights: Tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if not isinstance(self.t, Fraction) or not 0 < self.t < 1:
+    def __init__(self, t: Fraction, tau_weights: Tuple[Fraction, ...]):
+        if not isinstance(t, Fraction) or not 0 < t < 1:
             raise ValueError("t must be a Fraction strictly between 0 and 1")
-        for w in self.tau_weights:
+        for w in tau_weights:
             if not isinstance(w, Fraction) or w <= 0:
                 raise ValueError("tau weights must be positive Fractions")
+        self.__dict__.update(t=t, tau_weights=tau_weights)
 
 
 def _grid_table(d: int, f, bound: int) -> Dict[Index, Fraction]:

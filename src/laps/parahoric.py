@@ -9,10 +9,10 @@ one simple reflection at a time, as local updates (CONVENTIONS.md).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import Dict, Iterable, Tuple
 
 from .errors import ResourceLimitError
+from .record import Record, Value
 from .roots import Root, RootSystem
 
 IntMatrix = Tuple[Tuple[int, ...], ...]
@@ -20,10 +20,9 @@ IntMatrix = Tuple[Tuple[int, ...], ...]
 WEYL_ORDER_CAP = 1000
 
 
-@dataclass(frozen=True)
-class WeylElement:
-    matrix: IntMatrix
-    word: Tuple[int, ...]
+class WeylElement(Value):
+    def __init__(self, matrix: IntMatrix, word: Tuple[int, ...]):
+        self.__dict__.update(matrix=matrix, word=word)
 
     @property
     def length(self) -> int:
@@ -41,23 +40,27 @@ class WeylElement:
         return "e" if not self.word else "*".join("s%d" % i for i in self.word)
 
 
-@dataclass(frozen=True)
-class ParabolicType:
+class ParabolicType(Value):
     """A subset of the simple-root indices, 1-based and sorted."""
 
-    indices: Tuple[int, ...]
+    def __init__(self, indices: Tuple[int, ...]):
+        self.__dict__["indices"] = indices
 
     @classmethod
     def of(cls, indices: Iterable[int]) -> "ParabolicType":
         return cls(tuple(sorted(set(int(i) for i in indices))))
 
 
-@dataclass(frozen=True, eq=False)
-class DoubleCosetDecomposition:
-    """Orbit data of W_I x W_J acting by (u, v) . w = u w v^{-1}."""
+class DoubleCosetDecomposition(Record):
+    """Orbit data of W_I x W_J acting by (u, v) . w = u w v^{-1}; repr leaves
+    out coset_map, which maps each element to its representative."""
 
-    representatives: Tuple[WeylElement, ...]
-    coset_map: Dict[WeylElement, WeylElement] = field(repr=False)
+    _shown = 1
+
+    def __init__(self, representatives: Tuple[WeylElement, ...],
+                 coset_map: Dict[WeylElement, WeylElement]):
+        self.__dict__.update(representatives=representatives,
+                             coset_map=coset_map)
 
     def coset_sizes(self) -> Tuple[int, ...]:
         counts = Counter(self.coset_map.values())

@@ -10,12 +10,12 @@ convention a_ij = alpha_j(H_{alpha_i}) are fixed in CONVENTIONS.md.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping, Tuple, Union
 
 from .errors import ConfigError
+from .record import Value
 
 Coords = Tuple[int, ...]
 
@@ -72,11 +72,17 @@ GENERIC = Generic()
 Entry = Union[Fraction, Generic]
 
 
-@dataclass(frozen=True, order=True)
-class Root:
-    """A root written in the simple-root basis."""
+@functools.total_ordering
+class Root(Value):
+    """A root written in the simple-root basis, ordered by coordinates."""
 
-    coords: Coords
+    def __init__(self, coords: Coords):
+        self.__dict__["coords"] = coords
+
+    def __lt__(self, other):
+        if other.__class__ is not Root:
+            return NotImplemented
+        return self.coords < other.coords
 
     @property
     def sign(self) -> int:
@@ -105,11 +111,11 @@ class Root:
         return "-(%s)" % text[1:].replace("-", "+") if text else "0"
 
 
-@dataclass(frozen=True)
-class Weight:
+class Weight(Value):
     """A weight given by its pairings with the simple coroots."""
 
-    pairings: Tuple[Entry, ...]
+    def __init__(self, pairings: Tuple[Entry, ...]):
+        self.__dict__["pairings"] = pairings
 
     def _check_arity(self, other: "Weight") -> None:
         if len(self.pairings) != len(other.pairings):
@@ -137,21 +143,25 @@ def weight(*values) -> Weight:
                         else Fraction(v) for v in values))
 
 
-@dataclass(frozen=True)
-class RootSystem:
+class RootSystem(Value):
     """Cartan data of one irreducible type plus its positive roots.
 
     build_root_system shares one instance per type between all callers, so
-    every field is immutable.
+    every field is immutable. coroots maps the coordinates of every root,
+    positive and negative, to its coroot in simple-coroot coordinates (a
+    read-only view); it follows from the other fields, so equality, hashing
+    and repr leave it out.
     """
 
-    type_label: str
-    rank: int
-    cartan_matrix: Tuple[Tuple[int, ...], ...]
-    positive_roots: Tuple[Root, ...]
-    # Coordinates of every root, positive and negative, mapped to its
-    # coroot in simple-coroot coordinates; a read-only view.
-    coroots: Mapping[Coords, Coords] = field(compare=False, hash=False, repr=False)
+    _shown = 4
+
+    def __init__(self, type_label: str, rank: int,
+                 cartan_matrix: Tuple[Tuple[int, ...], ...],
+                 positive_roots: Tuple[Root, ...],
+                 coroots: Mapping[Coords, Coords]):
+        self.__dict__.update(type_label=type_label, rank=rank,
+                             cartan_matrix=cartan_matrix,
+                             positive_roots=positive_roots, coroots=coroots)
 
     def simple_root(self, i: int) -> Root:
         """The i-th simple root, 1-based."""

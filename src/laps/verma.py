@@ -21,13 +21,13 @@ only, "all-positive" over every positive root. The two genuinely differ
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Tuple
 
 from . import linalg
 from .errors import ResourceLimitError
 from .lie import realize
+from .record import Record, Value
 from .roots import (Coords, Entry, Generic, Root, RootSystem, Weight,
                     build_root_system, pair_with_coroot, weight_of_root)
 
@@ -47,13 +47,12 @@ def _is_positive_integer(x) -> bool:
     return isinstance(x, Fraction) and x.denominator == 1 and x > 0
 
 
-@dataclass(frozen=True)
-class CriterionReport:
+class CriterionReport(Value):
     """Outcome of one criterion run: witnesses (beta, n) with n a positive
     integer pairing of lam + delta against the coroot of beta."""
 
-    variant: str
-    witnesses: Tuple[Tuple[Root, int], ...]
+    def __init__(self, variant: str, witnesses: Tuple[Tuple[Root, int], ...]):
+        self.__dict__.update(variant=variant, witnesses=witnesses)
 
     @property
     def simple(self) -> bool:
@@ -112,24 +111,22 @@ def gl2_character_criterion(c1, c2, variant: str = ALL_POSITIVE) -> CriterionRep
     return bgg_criterion(rs, character_weight(rs, (c1, c2)), variant)
 
 
-@dataclass(frozen=True)
-class CharacterSpec:
+class CharacterSpec(Value):
     """A character of the restricted-scalars torus: one exponent tuple per
     embedding label."""
 
-    embeddings: Tuple[str, ...]
-    exponents: Tuple[Tuple[Entry, ...], ...]
-
-    def __post_init__(self):
-        if not self.embeddings:
+    def __init__(self, embeddings: Tuple[str, ...],
+                 exponents: Tuple[Tuple[Entry, ...], ...]):
+        if not embeddings:
             raise ValueError("need at least one embedding")
-        if len(set(self.embeddings)) != len(self.embeddings):
+        if len(set(embeddings)) != len(embeddings):
             raise ValueError("embedding labels must be distinct")
-        if len(self.exponents) != len(self.embeddings):
+        if len(exponents) != len(embeddings):
             raise ValueError("one exponent tuple per embedding required")
-        arities = {len(t) for t in self.exponents}
+        arities = {len(t) for t in exponents}
         if len(arities) > 1:
             raise ValueError("exponent tuples have mixed arities %s" % sorted(arities))
+        self.__dict__.update(embeddings=embeddings, exponents=exponents)
 
 
 def character_spec(labels, exponents) -> CharacterSpec:
@@ -138,12 +135,13 @@ def character_spec(labels, exponents) -> CharacterSpec:
                          tuple(tuple(_entry(x) for x in t) for t in exponents))
 
 
-@dataclass(frozen=True)
-class RestrictionReport:
+class RestrictionReport(Value):
     """Per-embedding criterion outcomes and the combined verdict."""
 
-    per_embedding: Tuple[Tuple[str, CriterionReport], ...]
-    irreducible: bool
+    def __init__(self, per_embedding: Tuple[Tuple[str, CriterionReport], ...],
+                 irreducible: bool):
+        self.__dict__.update(per_embedding=per_embedding,
+                             irreducible=irreducible)
 
 
 def restriction_of_scalars_check(rs: RootSystem, spec: CharacterSpec,
@@ -385,12 +383,12 @@ def singular_vectors(module: VermaModule, nu: Coords) -> Tuple[PBWVector, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True, eq=False)
-class OracleReport:
+class OracleReport(Record):
     """Outcome of the singular-vector scan up to the degree bound."""
 
-    bound: int
-    witnesses: Tuple[Tuple[Coords, Tuple[PBWVector, ...]], ...]
+    def __init__(self, bound: int,
+                 witnesses: Tuple[Tuple[Coords, Tuple[PBWVector, ...]], ...]):
+        self.__dict__.update(bound=bound, witnesses=witnesses)
 
     @property
     def reducible(self) -> bool:

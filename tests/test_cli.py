@@ -1,13 +1,18 @@
 """Command-line layer: config parsing with line-numbered violations, report
 payloads for every subcommand, deterministic rendering, and exit codes.
 
-main() is driven in-process with explicit argv lists; no subprocesses.
+main() is driven in-process with explicit argv lists; the one subprocess is
+the fresh interpreter that checks what `import laps.cli` loads.
 """
 
 import itertools
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -493,6 +498,16 @@ def test_main_missing_file_exits_one(tmp_path, capsys):
     assert "cannot read config" in capsys.readouterr().err
 
 
+def test_main_undecodable_config_exits_one(tmp_path, capsys):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes("group = A2\nlambda = [0, 0]  # \u00e9\n".encode("latin-1"))
+    assert main(["check", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("laps: cannot read config: ")
+    assert "codec can't decode" in captured.err
+
+
 def test_main_config_error_exits_one(tmp_path, capsys):
     path = _write(tmp_path, "group = GL2\nflavour = up\nc = [1/0, 0]\n")
     assert main(["check", "--config", path]) == 1
@@ -723,6 +738,46 @@ def test_main_usage_errors_exit_one(capsys):
         main(["check", "--config", "x", "--format", "yaml"])
     assert exc.value.code == 1
     capsys.readouterr()
+
+
+# Usage, help and argparse errors captured from the full parser tree: exit
+# code, stdout and stderr per argv, at a fixed help width of 80 columns.
+# argparse's wording changes between Python versions, so the texts hold for
+# the version they were captured with.
+_USAGE_GOLDEN = json.loads(
+    (Path(__file__).resolve().parent / "golden" / "cli_usage.json")
+    .read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("case", _USAGE_GOLDEN["cases"],
+                         ids=lambda case: " ".join(case["argv"]) or "(none)")
+def test_main_usage_matches_golden(case, capsys, monkeypatch):
+    if "%d.%d" % sys.version_info[:2] != _USAGE_GOLDEN["python"]:
+        pytest.skip("usage texts captured with Python %s"
+                    % _USAGE_GOLDEN["python"])
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        code = main(list(case["argv"]))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (
+        case["code"], case["stdout"], case["stderr"])
+
+
+def test_import_cli_leaves_out_dataclasses():
+    # -S: no site hooks, so only what laps.cli itself imports is loaded.
+    code = "import sys, laps.cli; print('dataclasses' in sys.modules)"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run([sys.executable, "-S", "-c", code],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "False\n"
+
+
+def test_every_public_name_resolves():
+    import laps
+    assert all(hasattr(laps, name) for name in laps.__all__)
 
 
 def test_main_help_exits_zero(capsys):

@@ -12,9 +12,9 @@ from fractions import Fraction
 
 import pytest
 
-from laps import (GENERIC, ConfigError, Root, Weight, build_root_system,
-                  half_sum_positive_roots, pair_with_coroot, weight,
-                  weight_of_root)
+from laps import (GENERIC, ConfigError, Root, RootSystem, Weight,
+                  build_root_system, dist_series, half_sum_positive_roots,
+                  pair_with_coroot, weight, weight_of_root)
 from laps.roots import reflect_simple
 
 
@@ -163,6 +163,27 @@ def test_root_systems_are_shared_and_read_only():
     with pytest.raises(TypeError):
         del rs.coroots[(1, 0, 0)]
     assert (9, 9, 9) not in build_root_system("B", 3).coroots
+    with pytest.raises(AttributeError):
+        rs.rank = 2
+    with pytest.raises(AttributeError):
+        del rs.positive_roots
+
+
+def test_record_equality_order_and_repr():
+    # The rules CONVENTIONS.md states for the record classes.
+    assert Root(coords=(1, 0)) == Root((1, 0)) != (1, 0)
+    assert hash(Root((1, 0))) == hash(((1, 0),))
+    assert Root((0, 1)) < Root((1, 0)) <= Root((1, 0)) and Root((1, 1)) >= Root((1, 0))
+    assert Weight((Fraction(1),)) != Root((1,))
+    rs = build_root_system("A", 1)
+    twin = RootSystem(rs.type_label, rs.rank, rs.cartan_matrix,
+                      rs.positive_roots, {})
+    assert twin == rs and hash(twin) == hash(rs)
+    assert repr(twin) == repr(rs) and "coroots" not in repr(rs)
+    series = dist_series(3, 1, {(0,): 1}, 1)
+    assert series != dist_series(3, 1, {(0,): 1}, 1) and series == series
+    assert repr(series) == ("DistSeries(p=3, d=1, coefficients="
+                            "{(0,): Fraction(1, 1)}, degree_bound=1)")
 
 
 def test_invalid_type_rejected_on_every_call():
