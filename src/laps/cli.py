@@ -570,6 +570,13 @@ def _run_weights(cfg: ProblemConfig) -> dict:
     }
 
 
+def _series_rows(series) -> list:
+    """The coefficients of a series as {"n", "c"} rows in (sum(n), n) order."""
+    return [{"n": list(n), "c": c}
+            for n, c in sorted(series.coefficients.items(),
+                               key=lambda item: (sum(item[0]), item[0]))]
+
+
 def _run_mahler(cfg: ProblemConfig) -> dict:
     exps = cfg.monomial
 
@@ -577,16 +584,13 @@ def _run_mahler(cfg: ProblemConfig) -> dict:
         return Fraction(math.prod(x ** k for x, k in zip(point, exps)))
 
     series = mahler_coefficients(cfg.p, cfg.d, f, cfg.degree)
-    rows = [{"n": list(n), "c": c}
-            for n, c in sorted(series.coefficients.items(),
-                               key=lambda item: (sum(item[0]), item[0]))]
     return {
         "p": cfg.p,
         "d": cfg.d,
         "degree": cfg.degree,
         "monomial": list(exps),
         "degree_bound": series.degree_bound,
-        "coefficients": rows,
+        "coefficients": _series_rows(series),
     }
 
 
@@ -603,16 +607,13 @@ def _run_norm(cfg: ProblemConfig) -> dict:
         norm_text = "1"
     else:
         norm_text = "%d^(-%s)" % (cfg.p, exponent)
-    rows = [{"n": list(n), "c": c}
-            for n, c in sorted(series.coefficients.items(),
-                               key=lambda item: (sum(item[0]), item[0]))]
     return {
         "p": cfg.p,
         "d": cfg.d,
         "t": cfg.t,
         "tau": list(cfg.tau),
         "degree_bound": series.degree_bound,
-        "terms": rows,
+        "terms": _series_rows(series),
         "exponent": "inf" if exponent == INF else exponent,
         "norm": norm_text,
     }

@@ -1,7 +1,7 @@
 """Exact rational Gaussian elimination: nullspace and linear solve.
 
-Rows are eliminated as sparse dicts (column -> nonzero Fraction); a zero
-entry is never stored or touched, which matters because the oracle's
+Rows arrive and are eliminated as sparse mappings (column -> value); a
+zero entry is never stored or touched, which matters because the oracle's
 matrices are mostly zeros. Each incoming row is reduced by the pivot rows
 found so far and, if anything is left, its first nonzero column becomes a
 new pivot that is cleared from the earlier pivot rows. The result is the
@@ -12,7 +12,7 @@ depend on the order rows arrive in or on which pivot is found first.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 SparseRow = Dict[int, Fraction]
 
@@ -27,13 +27,13 @@ def _axpy(acc: SparseRow, scale: Fraction, row: SparseRow) -> None:
             acc.pop(c, None)
 
 
-def _rref(rows: Sequence[Sequence[Fraction]]) -> Dict[int, SparseRow]:
-    """Reduced row echelon form as {pivot column: row}: each row has 1 at
-    its pivot, which is its first nonzero column, and 0 at every other
-    pivot column."""
+def _rref(rows: Sequence[Mapping[int, Fraction]]) -> Dict[int, SparseRow]:
+    """Reduced row echelon form of rows given as {column: value}, as
+    {pivot column: row}: each row has 1 at its pivot, which is its first
+    nonzero column, and 0 at every other pivot column."""
     pivots: Dict[int, SparseRow] = {}
-    for dense in rows:
-        row = {c: Fraction(x) for c, x in enumerate(dense) if x != 0}
+    for given in rows:
+        row = {c: Fraction(x) for c, x in given.items() if x != 0}
         for c in [c for c in row if c in pivots]:
             _axpy(row, -row[c], pivots[c])
         if not row:
@@ -49,15 +49,16 @@ def _rref(rows: Sequence[Sequence[Fraction]]) -> Dict[int, SparseRow]:
     return pivots
 
 
-def kernel_basis(rows: Sequence[Sequence[Fraction]], ncols: int) -> List[Tuple[Fraction, ...]]:
-    """Basis of the right kernel of the matrix, one vector per free column.
+def kernel_basis(rows: Sequence[Mapping[int, Fraction]], ncols: int) -> List[Tuple[Fraction, ...]]:
+    """Basis of the right kernel of the matrix whose rows arrive sparse, as
+    {column: value} with columns in 0..ncols-1, one vector per free column.
 
     Each basis vector has a 1 in its free coordinate; ordering follows the
     column order, so the result is deterministic.
     """
-    for row in rows:
-        if len(row) != ncols:
-            raise ValueError("row length %d does not match ncols %d" % (len(row), ncols))
+    for c in (c for row in rows for c in row):
+        if not 0 <= c < ncols:
+            raise ValueError("column %d is outside 0..%d" % (c, ncols - 1))
     pivots = _rref(rows)
     basis = []
     for fc in range(ncols):
@@ -80,7 +81,7 @@ def solve_unique(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) ->
     if m == 0:
         return ()
     ncols = len(rows[0])
-    pivots = _rref([list(row) + [rhs[i]] for i, row in enumerate(rows)])
+    pivots = _rref([dict(enumerate([*row, b])) for row, b in zip(rows, rhs)])
     if sum(1 for pc in pivots if pc < ncols) < ncols:
         raise ValueError("system is underdetermined")
     if ncols in pivots:

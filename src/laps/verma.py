@@ -219,20 +219,13 @@ class VermaModule:
                     acc[i] -= mult * p
         return Weight(tuple(acc))
 
-    def _h_scalar(self, i: int, mono: Coords) -> Fraction:
-        value = self.lam.pairings[i]
-        for k, mult in enumerate(mono):
-            if mult:
-                value -= mult * self._root_pairings[k][i]
-        return value
-
     def _act_key(self, key: tuple, mono: Coords) -> Dict[Coords, Fraction]:
         cached = self._memo.get((key, mono))
         if cached is not None:
             return cached
         kind = key[0]
         if kind == "h":
-            out = {mono: self._h_scalar(key[1], mono)}
+            out = {mono: self.monomial_weight(mono).pairings[key[1]]}
             self._memo[(key, mono)] = out
             return out
         j0 = next((k for k, mult in enumerate(mono) if mult), None)
@@ -344,9 +337,9 @@ def _depth(module: VermaModule, mu: Weight):
     """nu in Q+ (simple-root coordinates) with mu = lam - nu, or None."""
     if not mu.is_rational():
         raise ValueError("weight space lookup needs a rational weight")
-    cartan = [[Fraction(x) for x in row] for row in module._rs.cartan_matrix]
     try:
-        coords = linalg.solve_unique(cartan, list((module.lam - mu).pairings))
+        coords = linalg.solve_unique(module._rs.cartan_matrix,
+                                     (module.lam - mu).pairings)
     except ValueError:
         return None
     if any(x.denominator != 1 or x < 0 for x in coords):
@@ -362,21 +355,22 @@ def weight_space_basis(module: VermaModule, mu: Weight) -> Tuple[Coords, ...]:
 
 def singular_vectors(module: VermaModule, nu: Coords) -> Tuple[PBWVector, ...]:
     """Basis of the space of vectors of weight lam - nu killed by every e_i,
-    with nu in Q+ given in simple-root coordinates."""
+    with nu in Q+ given in simple-root coordinates. The e_i images give the
+    equations as sparse rows, one per (i, target monomial) they reach; a
+    target that no image reaches would only give a zero row."""
     rs = module._rs
     nu = tuple(nu)
     if len(nu) != rs.rank:
         raise ValueError("nu arity %d does not match rank %d" % (len(nu), rs.rank))
     basis = kostant_partitions(rs, nu)
-    rows = []
+    rows: Dict[tuple, Dict[int, Fraction]] = {}
     for i in range(rs.rank):
         if nu[i] == 0:  # lam - nu + alpha_i is not a weight of M(lam)
             continue
-        target = kostant_partitions(rs, nu[:i] + (nu[i] - 1,) + nu[i + 1:])
-        images = [module._act_key(("e", i), mono) for mono in basis]
-        for mono in target:
-            rows.append([img.get(mono, 0) for img in images])
-    kernel = linalg.kernel_basis(rows, len(basis))
+        for col, mono in enumerate(basis):
+            for target, c in module._act_key(("e", i), mono).items():
+                rows.setdefault((i, target), {})[col] = c
+    kernel = linalg.kernel_basis(list(rows.values()), len(basis))
     out = []
     for vec in kernel:
         out.append(PBWVector({mono: c for mono, c in zip(basis, vec)}))

@@ -1,6 +1,7 @@
 """Exact elimination: the sparse reduced row echelon form behind
 kernel_basis and solve_unique, compared with a dense Gauss-Jordan written
-here on random rational matrices (zero rows and columns, tall and wide)."""
+here on random rational matrices (zero rows and columns, tall and wide).
+kernel_basis takes its rows sparse, as {column: value}."""
 
 from fractions import Fraction
 
@@ -78,13 +79,22 @@ def _matrices(draw, min_rows=0):
 
 
 @settings(max_examples=200, deadline=None)
-@given(_matrices())
-def test_kernel_basis_matches_dense_reference(matrix):
+@given(_matrices(), st.data())
+def test_kernel_basis_matches_dense_reference(matrix, data):
     rows, n = matrix
-    basis = kernel_basis(rows, n)
+    # some zero entries stay explicit, as a caller may pass them
+    sparse = [{c: x for c, x in enumerate(r) if x != 0 or data.draw(st.booleans())}
+              for r in rows]
+    basis = kernel_basis(sparse, n)
     assert basis == _dense_kernel(rows, n)
     for vec in basis:
         assert all(sum(a * x for a, x in zip(row, vec)) == 0 for row in rows)
+
+
+@pytest.mark.parametrize("col", [3, 7, -1])
+def test_kernel_basis_rejects_columns_out_of_range(col):
+    with pytest.raises(ValueError, match="column %d is outside 0..2" % col):
+        kernel_basis([{0: Fraction(1)}, {1: Fraction(2), col: Fraction(1)}], 3)
 
 
 @settings(max_examples=200, deadline=None)

@@ -24,7 +24,8 @@ from laps import (ALL_POSITIVE, DELTA_ONLY, GENERIC, PBWVector,
                   restriction_of_scalars_check, simplicity_oracle,
                   singular_vectors, weight, weight_of_root,
                   weight_space_basis)
-from laps.verma import (VermaModule, kostant_counts, kostant_partitions,
+from laps.verma import (VermaModule, _dot_orbit_depths, _within_bound,
+                        kostant_counts, kostant_partitions,
                         verma_module)
 
 
@@ -311,6 +312,30 @@ def test_linked_scan_equals_brute_force():
             found += len(brute)
     assert found >= 40
     assert time.monotonic() - start < 5
+
+
+def test_e_images_stay_in_the_target_weight_space():
+    """singular_vectors builds its rows from the e_i images alone, which is
+    exact only if e_i maps the weight space lam - nu into lam - nu +
+    alpha_i: every image key must be a Kostant partition of nu - alpha_i."""
+    checked = 0
+    for label, rank, values in (("A", 3, (0, 0, 0)), ("B", 2, (0, 0)),
+                                ("G", 2, (-1, 1))):
+        rs = build_root_system(label, rank)
+        module = VermaModule(rs, weight(*values))
+        within = _within_bound(rs, 4)
+        for nu in _dot_orbit_depths(rs, module.lam):
+            nu = tuple(int(x) for x in nu)  # lam is integral here
+            if min(nu) < 0 or not any(nu) or not within(nu):
+                continue
+            for i in (i for i in range(rank) if nu[i] > 0):
+                target = set(kostant_partitions(
+                    rs, nu[:i] + (nu[i] - 1,) + nu[i + 1:]))
+                for mono in kostant_partitions(rs, nu):
+                    image = module._act_key(("e", i), mono)
+                    assert set(image) <= target, (label, nu, i, mono)
+                    checked += len(image)
+    assert checked > 0
 
 
 # -- criterion ---------------------------------------------------------------
