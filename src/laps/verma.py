@@ -20,6 +20,7 @@ only, "all-positive" over every positive root. The two genuinely differ
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from typing import Dict, Tuple
@@ -29,22 +30,20 @@ from .errors import ResourceLimitError
 from .lie import realize
 from .record import Record, Value
 from .roots import (Coords, Entry, Generic, Root, RootSystem, Weight,
-                    build_root_system, pair_with_coroot, weight_of_root)
+                    build_root_system, weight_of_root)
 
 DELTA_ONLY = "delta-only"
 ALL_POSITIVE = "all-positive"
 VARIANTS = (DELTA_ONLY, ALL_POSITIVE)
 
 ORACLE_CAP = 12
+# kostant_counts' budget: B4 at height_bound 40 (2,172,016) passes.
+COUNTS_CAP = 2_500_000
 _ORACLE_DEFAULT_SCAN = 6
 
 
 def _entry(x) -> Entry:
     return x if isinstance(x, Generic) else Fraction(x)
-
-
-def _is_positive_integer(x) -> bool:
-    return isinstance(x, Fraction) and x.denominator == 1 and x > 0
 
 
 class CriterionReport(Value):
@@ -69,19 +68,35 @@ def bgg_criterion(rs: RootSystem, lam: Weight, variant: str = ALL_POSITIVE) -> C
     A witness is a candidate root beta with (lam + delta)(H_beta) a strictly
     positive integer; the module is simple exactly when the all-positive
     variant finds none.
+
+    The pairings are summed in integers. With L the lcm of the denominators
+    of the rational entries of lam + delta, each such entry x becomes x * L,
+    and beta pairs to s / L, s the integer sum over the nonzero coordinates
+    of its coroot: a witness iff s > 0 and L divides s, with n = s // L. A
+    generic entry met by a nonzero coordinate makes the pairing generic, so
+    beta is no witness; a zero coordinate drops it (GENERIC * 0 is 0).
     """
     if variant not in VARIANTS:
         raise ValueError("unknown criterion variant %r" % (variant,))
     if len(lam.pairings) != rs.rank:
         raise ValueError("weight arity %d does not match rank %d"
                          % (len(lam.pairings), rs.rank))
-    shifted = lam + rs.delta
+    shifted = (lam + rs.delta).pairings
+    scale = math.lcm(*(x.denominator for x in shifted if not isinstance(x, Generic)))
+    scaled = [None if isinstance(x, Generic) else x.numerator * (scale // x.denominator)
+              for x in shifted]
     candidates = rs.simple_roots if variant == DELTA_ONLY else rs.positive_roots
     witnesses = []
     for beta in candidates:
-        value = pair_with_coroot(rs, shifted, beta)
-        if _is_positive_integer(value):
-            witnesses.append((beta, int(value)))
+        s = 0
+        for x, c in zip(scaled, rs.coroots[beta.coords]):
+            if c:
+                if x is None:
+                    break
+                s += x * c
+        else:
+            if s > 0 and s % scale == 0:
+                witnesses.append((beta, s // scale))
     return CriterionReport(variant, tuple(witnesses))
 
 
@@ -315,7 +330,18 @@ def kostant_counts(rs: RootSystem, height_bound: int) -> Dict[Coords, int]:
     most height_bound, in (height, coordinates) order: the coefficients of
     prod_{beta > 0} (1 - e^{-beta})^{-1}, by one in-place coin-change pass
     over the positive roots with nu going up in height. nu is keyed by its
-    digits in base height_bound + 1, so the key of nu + beta is a sum."""
+    digits in base height_bound + 1, so the key of nu + beta is a sum.
+
+    Before any work, the table's size in additions, C(height_bound + rank,
+    rank) rows times the positive roots, is compared with COUNTS_CAP; a
+    larger table is refused with ResourceLimitError."""
+    rows = math.comb(height_bound + rs.rank, rs.rank)
+    estimate = rows * len(rs.positive_roots)
+    if estimate > COUNTS_CAP:
+        raise ResourceLimitError(
+            "Kostant count table of %d rows x %d positive roots = %d "
+            "exceeds the limit %d" % (rows, len(rs.positive_roots), estimate,
+                                      COUNTS_CAP))
     base = height_bound + 1
     nus = [()]
     for _ in range(rs.rank):
@@ -390,23 +416,30 @@ class OracleReport(Record):
 
 
 def _dot_orbit_depths(rs: RootSystem, lam: Weight):
-    """nu = lam - w.lam for every w in W, in simple-root coordinates, by
-    breadth-first search over s_i.mu = mu - (mu(H_i) + 1) alpha_i."""
+    """The integral nu = lam - w.lam, w in W, in simple-root coordinates as
+    int tuples, by breadth-first search over s_i.mu = mu - (mu(H_i) + 1)
+    alpha_i. lam is rational, and the search runs in integers on L * nu,
+    with L the lcm of lam's denominators: the step on coordinate i adds
+    L * lam_i + L - sum_j a_ij (L * nu)_j. The points that L divides are
+    returned, divided by L."""
     cartan, rank = rs.cartan_matrix, rs.rank
-    start = (Fraction(0),) * rank
+    scale = math.lcm(*(x.denominator for x in lam.pairings))
+    shift = [x.numerator * (scale // x.denominator) + scale for x in lam.pairings]
+    start = (0,) * rank
     seen = {start}
     frontier = [start]
     while frontier:
         reached = []
         for nu in frontier:
             for i in range(rank):
-                mu_i = lam.pairings[i] - sum(a * x for a, x in zip(cartan[i], nu))
-                step = nu[:i] + (nu[i] + mu_i + 1,) + nu[i + 1:]
+                rise = shift[i] - sum(a * x for a, x in zip(cartan[i], nu))
+                step = nu[:i] + (nu[i] + rise,) + nu[i + 1:]
                 if step not in seen:
                     seen.add(step)
                     reached.append(step)
         frontier = reached
-    return seen
+    return {tuple(x // scale for x in nu) for nu in seen
+            if not any(x % scale for x in nu)}
 
 
 def _within_bound(rs: RootSystem, bound: int):
@@ -464,13 +497,8 @@ def simplicity_oracle(module: VermaModule, degree_bound: int = None) -> OracleRe
         raise ResourceLimitError("oracle bound %d exceeds the safety cap %d"
                                  % (degree_bound, ORACLE_CAP))
     within = _within_bound(rs, degree_bound)
-    linked = []
-    for nu in _dot_orbit_depths(rs, module.lam):
-        if any(x.denominator != 1 or x < 0 for x in nu) or not any(nu):
-            continue
-        nu = tuple(int(x) for x in nu)
-        if within(nu):
-            linked.append(nu)
+    linked = [nu for nu in _dot_orbit_depths(rs, module.lam)
+              if min(nu) >= 0 and any(nu) and within(nu)]
 
     witnesses = []
     for nu in sorted(linked, key=lambda c: (sum(c), c)):

@@ -17,8 +17,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from laps import (ALL_POSITIVE, ConfigError, Root, Weight, bgg_criterion,
-                  build_root_system)
+from laps import (ALL_POSITIVE, ConfigError, ResourceLimitError, Root, Weight,
+                  bgg_criterion, build_root_system, verma)
 from laps.cli import (ProblemConfig, main, parse_config, render_machine,
                       render_text, run)
 from laps.verma import kostant_partitions
@@ -399,6 +399,32 @@ def test_main_weights_g2(tmp_path, capsys):
     assert [(row["nu"], row["dimension"]) for row in rows] == [
         ("0", 1), ("a2", 1), ("a1", 1), ("2a2", 1), ("a1+a2", 2), ("2a1", 1),
         ("3a2", 1), ("a1+2a2", 2), ("2a1+a2", 3), ("3a1", 1)]
+
+
+@pytest.mark.parametrize("group,height,rows,roots", [
+    # C(104, 4) = 4,598,126 rows; both inputs ran out of memory unrefused
+    ("B4", 100, 4598126, 16),
+    ("A1", 10 ** 8, 10 ** 8 + 1, 1),
+])
+def test_main_weights_over_budget_refused_quickly(tmp_path, capsys, group,
+                                                  height, rows, roots):
+    path = _write(tmp_path, "group = %s\nheight_bound = %d\n" % (group, height))
+    start = time.perf_counter()
+    assert main(["weights", "--config", path]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == (
+        "laps: resource limit: Kostant count table of %d rows x %d positive "
+        "roots = %d exceeds the limit 2500000\n" % (rows, roots, rows * roots))
+
+
+def test_weights_budget_admits_its_limit(monkeypatch):
+    # A2 at height 3: C(5, 2) = 10 rows x 3 positive roots = 30 additions
+    monkeypatch.setattr(verma, "COUNTS_CAP", 30)
+    assert len(run(_cfg("group = A2\nheight_bound = 3\n"), "weights")
+               .payload["rows"]) == 10
+    monkeypatch.setattr(verma, "COUNTS_CAP", 29)
+    with pytest.raises(ResourceLimitError, match="= 30 exceeds the limit 29"):
+        run(_cfg("group = A2\nheight_bound = 3\n"), "weights")
 
 
 @pytest.mark.parametrize("text,message", [

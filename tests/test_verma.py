@@ -21,12 +21,17 @@ from laps import (ALL_POSITIVE, DELTA_ONLY, GENERIC, PBWVector,
                   ResourceLimitError, Root, Weight, act_generator,
                   bgg_criterion, build_root_system, character_spec,
                   character_weight, gl2_character_criterion,
-                  restriction_of_scalars_check, simplicity_oracle,
-                  singular_vectors, weight, weight_of_root,
+                  pair_with_coroot, restriction_of_scalars_check,
+                  simplicity_oracle, singular_vectors, weight, weight_of_root,
                   weight_space_basis)
 from laps.verma import (VermaModule, _dot_orbit_depths, _within_bound,
                         kostant_counts, kostant_partitions,
                         verma_module)
+from test_parahoric import WEYL_ORDERS
+
+# |W| for all 14 types within the rank cap; WEYL_ORDERS leaves out F4, whose
+# group is over WEYL_ORDER_CAP.
+ALL_ORDERS = {**WEYL_ORDERS, ("F", 4): 1152}
 
 
 def _sl2(lam_h):
@@ -338,6 +343,44 @@ def test_e_images_stay_in_the_target_weight_space():
     assert checked > 0
 
 
+def _fraction_orbit(rs, lam):
+    """The integral nu = lam - w.lam by breadth-first search in Fraction
+    arithmetic over s_i.mu = mu - (mu(H_i) + 1) alpha_i."""
+    cartan = rs.cartan_matrix
+    start = (Fraction(0),) * rs.rank
+    seen, frontier = {start}, [start]
+    while frontier:
+        reached = []
+        for nu in frontier:
+            for i in range(rs.rank):
+                mu_i = lam.pairings[i] - sum(a * x for a, x in zip(cartan[i], nu))
+                step = nu[:i] + (nu[i] + mu_i + 1,) + nu[i + 1:]
+                if step not in seen:
+                    seen.add(step)
+                    reached.append(step)
+        frontier = reached
+    return {tuple(int(x) for x in nu) for nu in seen
+            if all(x.denominator == 1 for x in nu)}
+
+
+@pytest.mark.parametrize("label,rank", sorted(ALL_ORDERS))
+def test_dot_orbit_matches_fraction_search(label, rank):
+    """The integer search on L * nu finds the same integral nu as a search
+    in Fractions, for lam with denominators 1, 2, 3 and 6; at lam = 0 the
+    orbit is regular, so it has |W| points."""
+    rs = build_root_system(label, rank)
+    rng = random.Random(rank * 31 + ord(label))
+    zero = _dot_orbit_depths(rs, weight(*[0] * rank))
+    assert len(zero) == ALL_ORDERS[(label, rank)]
+    assert zero == _fraction_orbit(rs, weight(*[0] * rank))
+    for dens in ((1,), (2,), (3,), (2, 3)):
+        lam = weight(*(Fraction(rng.randint(-6, 6), rng.choice(dens))
+                       for _ in range(rank)))
+        got = _dot_orbit_depths(rs, lam)
+        assert got == _fraction_orbit(rs, lam), (label, rank, lam)
+        assert all(type(x) is int for nu in got for x in nu)
+
+
 # -- criterion ---------------------------------------------------------------
 
 def test_criterion_sl2_boundary_cases():
@@ -371,6 +414,52 @@ def test_criterion_generic_weight_is_simple():
     # a generic tag in one slot does not shield roots supported on the other
     partial = bgg_criterion(rs, weight("generic", 3), ALL_POSITIVE)
     assert partial.witnesses == ((Root((0, 1)), 4),)
+
+
+def _reference_criterion(rs, lam, variant):
+    """Witnesses by Fraction pairings with pair_with_coroot, where a generic
+    entry times a zero coroot coordinate is 0 and otherwise stays generic."""
+    shifted = lam + rs.delta
+    candidates = rs.simple_roots if variant == DELTA_ONLY else rs.positive_roots
+    out = []
+    for beta in candidates:
+        value = pair_with_coroot(rs, shifted, beta)
+        if isinstance(value, Fraction) and value.denominator == 1 and value > 0:
+            out.append((beta, int(value)))
+    return tuple(out)
+
+
+_ENTRIES = {
+    "integral": lambda rng: Fraction(rng.randint(-4, 3)),
+    "half": lambda rng: Fraction(rng.randint(-9, 7), 2),
+    "third": lambda rng: Fraction(rng.randint(-12, 10), 3),
+    "generic": lambda rng: GENERIC,
+}
+
+
+@pytest.mark.parametrize("label,rank", sorted(ALL_ORDERS))
+def test_criterion_matches_fraction_pairings(label, rank):
+    """The integer criterion gives the reference's witnesses, in the same
+    order, on seeded lam drawn from integral, half, third and generic
+    entries, one family or mixed, and on lam with generic entries."""
+    rs = build_root_system(label, rank)
+    rng = random.Random(rank * 17 + ord(label))
+    families = list(_ENTRIES)
+    # all generic, and one generic slot beside zeros (witnessed off that slot)
+    lams = [Weight((GENERIC,) * rank)]
+    lams += [Weight(tuple(GENERIC if j == i else Fraction(0) for j in range(rank)))
+             for i in range(rank)]
+    for k in range(48):
+        pick = [families[k % 4]] * rank if k < 16 else rng.choices(families, k=rank)
+        lams.append(Weight(tuple(_ENTRIES[f](rng) for f in pick)))
+    found = {True: 0, False: 0}  # witnesses, by whether lam is rational
+    for lam in lams:
+        for variant in (DELTA_ONLY, ALL_POSITIVE):
+            got = bgg_criterion(rs, lam, variant)
+            assert got.witnesses == _reference_criterion(rs, lam, variant), (
+                label, rank, lam, variant)
+            found[lam.is_rational()] += len(got.witnesses)
+    assert found[True] > 0 and (rank == 1 or found[False] > 0)
 
 
 # -- characters --------------------------------------------------------------
