@@ -122,24 +122,34 @@ def invert(rs: RootSystem, a: WeylElement) -> WeylElement:
 def build_weyl_group(rs: RootSystem, cap: int = WEYL_ORDER_CAP) -> Tuple[WeylElement, ...]:
     """The whole Weyl group by breadth-first closure, sorted by (length, word).
     With the generators as the outer loop, each element is first reached
-    through its smallest right descent, so its word is the canonical one."""
+    through its smallest right descent, so its word is the canonical one.
+
+    An element w is keyed by y, the coroot pairings of w^{-1}(rho): rho's
+    orbit is free, so keys are distinct, and w * s_i has key y_j - a_ji y_i,
+    longer than w exactly when y_i > 0. The matrix is formed once per
+    element."""
     cartan = rs.cartan_matrix
-    ident = _identity(rs.rank)
-    seen: Dict[IntMatrix, Tuple[int, ...]] = {ident: ()}
-    frontier = [ident]
+    rho = (1,) * rs.rank
+    seen: Dict[Tuple[int, ...], Tuple[IntMatrix, Tuple[int, ...]]] = {
+        rho: (_identity(rs.rank), ())}
+    frontier = [rho]
     while frontier:
         new = []
         for i in range(rs.rank):
-            for m in frontier:
-                prod = _times_s(m, cartan, i)
-                if prod not in seen:
-                    seen[prod] = seen[m] + (i + 1,)
-                    new.append(prod)
+            column = [row[i] for row in cartan]
+            for y in frontier:
+                if y[i] < 0:
+                    continue  # w * s_i is shorter, so already seen
+                key = tuple(v - a * y[i] for v, a in zip(y, column))
+                if key not in seen:
+                    m, word = seen[y]
+                    seen[key] = (_times_s(m, cartan, i), word + (i + 1,))
+                    new.append(key)
                     if len(seen) > cap:
                         raise ResourceLimitError(
                             "Weyl group exceeds the cap of %d elements" % cap)
         frontier = new
-    elements = [WeylElement(m, word) for m, word in seen.items()]
+    elements = [WeylElement(m, word) for m, word in seen.values()]
     return tuple(sorted(elements, key=lambda w: (w.length, w.word)))
 
 
@@ -155,7 +165,11 @@ def _normalize_indices(group_rank: int, indices) -> Tuple[int, ...]:
 def double_cosets(group: Tuple[WeylElement, ...], I, J) -> DoubleCosetDecomposition:
     """Decompose W into W_I w W_J orbits under (u, v) . w = u w v^{-1}.
 
-    The representative of each orbit is its minimal element by (length, word).
+    The representative of each orbit is its minimal element by (length, word),
+    the one element of the orbit with no left descent in I and no right
+    descent in J (Carter, Finite Groups of Lie Type, 2.7). Walking W in
+    (length, word) order, an element with such a descent takes the
+    representative of the shorter element, which is already mapped.
     """
     by_matrix = {w.matrix: w for w in group}
     gens = {w.word[0]: w.matrix for w in group if w.length == 1}
@@ -167,20 +181,18 @@ def double_cosets(group: Tuple[WeylElement, ...], I, J) -> DoubleCosetDecomposit
 
     coset_map: Dict[WeylElement, WeylElement] = {}
     representatives = []
-    # In (length, word) order the first element met in an orbit is its minimum.
     for w in sorted(group, key=lambda x: (x.length, x.word)):
-        if w in coset_map:
-            continue
-        orbit, todo = {w.matrix}, [w.matrix]
-        for m in todo:  # todo grows while it is walked
-            for cand in ([_s_times(cartan, i, m) for i in left]
-                         + [_times_s(m, cartan, j) for j in right]):
-                if cand not in orbit:
-                    orbit.add(cand)
-                    todo.append(cand)
-        representatives.append(w)
-        for m in orbit:
-            coset_map[by_matrix[m]] = w
+        m = w.matrix
+        # w * s_j < w iff column j, the image of alpha_j, has no positive entry
+        shorter = next((by_matrix[_times_s(m, cartan, j)] for j in right
+                        if all(row[j] <= 0 for row in m)), None)
+        if shorter is None:
+            shorter = next((u for u in (by_matrix[_s_times(cartan, i, m)]
+                                        for i in left) if u.length < w.length),
+                           None)
+        if shorter is None:
+            representatives.append(w)
+        coset_map[w] = w if shorter is None else coset_map[shorter]
     return DoubleCosetDecomposition(tuple(representatives), coset_map)
 
 

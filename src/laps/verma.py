@@ -39,6 +39,9 @@ VARIANTS = (DELTA_ONLY, ALL_POSITIVE)
 ORACLE_CAP = 12
 # kostant_counts' budget: B4 at height_bound 40 (2,172,016) passes.
 COUNTS_CAP = 2_500_000
+# Its row limit: under COUNTS_CAP alone, low ranks get far longer tables.
+# B4 and C4 at height_bound 41 (C(45, 4) = 148,995 rows) pass.
+COUNTS_ROWS_CAP = 150_000
 _ORACLE_DEFAULT_SCAN = 6
 
 
@@ -333,8 +336,9 @@ def kostant_counts(rs: RootSystem, height_bound: int) -> Dict[Coords, int]:
     digits in base height_bound + 1, so the key of nu + beta is a sum.
 
     Before any work, the table's size in additions, C(height_bound + rank,
-    rank) rows times the positive roots, is compared with COUNTS_CAP; a
-    larger table is refused with ResourceLimitError."""
+    rank) rows times the positive roots, is compared with COUNTS_CAP, and
+    its rows with COUNTS_ROWS_CAP; a larger table is refused with
+    ResourceLimitError."""
     rows = math.comb(height_bound + rs.rank, rs.rank)
     estimate = rows * len(rs.positive_roots)
     if estimate > COUNTS_CAP:
@@ -342,6 +346,10 @@ def kostant_counts(rs: RootSystem, height_bound: int) -> Dict[Coords, int]:
             "Kostant count table of %d rows x %d positive roots = %d "
             "exceeds the limit %d" % (rows, len(rs.positive_roots), estimate,
                                       COUNTS_CAP))
+    if rows > COUNTS_ROWS_CAP:
+        raise ResourceLimitError(
+            "Kostant count table of %d rows exceeds the row limit %d"
+            % (rows, COUNTS_ROWS_CAP))
     base = height_bound + 1
     nus = [()]
     for _ in range(rs.rank):

@@ -417,6 +417,22 @@ def test_main_weights_over_budget_refused_quickly(tmp_path, capsys, group,
         "roots = %d exceeds the limit 2500000\n" % (rows, roots, rows * roots))
 
 
+@pytest.mark.parametrize("group,height,rows", [
+    # Both fit COUNTS_CAP; both ran for seconds at hundreds of MiB unrefused
+    ("A1", 2499999, 2500000),
+    ("A2", 1289, 832695),  # C(1291, 2)
+])
+def test_main_weights_over_row_limit_refused_quickly(tmp_path, capsys, group,
+                                                     height, rows):
+    path = _write(tmp_path, "group = %s\nheight_bound = %d\n" % (group, height))
+    start = time.perf_counter()
+    assert main(["weights", "--config", path]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == (
+        "laps: resource limit: Kostant count table of %d rows exceeds the "
+        "row limit 150000\n" % rows)
+
+
 def test_weights_budget_admits_its_limit(monkeypatch):
     # A2 at height 3: C(5, 2) = 10 rows x 3 positive roots = 30 additions
     monkeypatch.setattr(verma, "COUNTS_CAP", 30)
@@ -424,6 +440,14 @@ def test_weights_budget_admits_its_limit(monkeypatch):
                .payload["rows"]) == 10
     monkeypatch.setattr(verma, "COUNTS_CAP", 29)
     with pytest.raises(ResourceLimitError, match="= 30 exceeds the limit 29"):
+        run(_cfg("group = A2\nheight_bound = 3\n"), "weights")
+    monkeypatch.setattr(verma, "COUNTS_CAP", 30)
+    monkeypatch.setattr(verma, "COUNTS_ROWS_CAP", 10)
+    assert len(run(_cfg("group = A2\nheight_bound = 3\n"), "weights")
+               .payload["rows"]) == 10
+    monkeypatch.setattr(verma, "COUNTS_ROWS_CAP", 9)
+    with pytest.raises(ResourceLimitError,
+                       match="10 rows exceeds the row limit 9"):
         run(_cfg("group = A2\nheight_bound = 3\n"), "weights")
 
 

@@ -1,10 +1,12 @@
 """Weyl group combinatorics: enumeration, canonical words, double cosets,
 and the root-sign partition.
 
-The one-reflection updates and the double cosets are checked against full
-integer matrix products written here, with no shared code with the
-production BFS: the orbit oracle multiplies out u * w * v over the full
-parabolic subgroups. The A2 count for I = J = {1} is 2
+The one-reflection updates, the closure and the double cosets are checked
+against full integer matrix products written here, with no shared code
+with the production BFS: the closure reference is keyed by matrix, the
+orbit oracle multiplies out u * w * v over the full parabolic subgroups,
+and the representatives and coset sizes are checked by descents and by
+Kilmoyer's formula. The A2 count for I = J = {1} is 2
 (cosets {e, s1} and the four remaining elements); a one-sided count over
 the same data gives 3.
 """
@@ -62,6 +64,32 @@ def test_closure_words_match_descent_words(label, rank):
         again = weyl_element(rs, w.word)
         assert again.matrix == w.matrix
         assert again.word == w.word
+
+
+def _closure_reference(rs):
+    """The closure keyed by matrix, by full products with the generators as
+    the outer loop, sorted by (length, word)."""
+    gens = [_reflection(rs, i) for i in range(rs.rank)]
+    ident = tuple(tuple(int(r == c) for c in range(rs.rank))
+                  for r in range(rs.rank))
+    seen, frontier = {ident: ()}, [ident]
+    while frontier:
+        new = []
+        for i, s in enumerate(gens):
+            for m in frontier:
+                prod = _mat_mul(m, s)
+                if prod not in seen:
+                    seen[prod] = seen[m] + (i + 1,)
+                    new.append(prod)
+        frontier = new
+    return sorted(seen.items(), key=lambda item: (len(item[1]), item[1]))
+
+
+@pytest.mark.parametrize("label,rank", sorted(WEYL_ORDERS) + [("F", 4)])
+def test_closure_matches_matrix_keyed_reference(label, rank):
+    rs = build_root_system(label, rank)
+    group = build_weyl_group(rs, cap=1152)
+    assert [(w.matrix, w.word) for w in group] == _closure_reference(rs)
 
 
 @pytest.mark.parametrize("label,rank", sorted(WEYL_ORDERS))
@@ -288,6 +316,94 @@ def test_d4_cosets_match_orbit_oracle_on_a_sample():
         [(I, J) for I in subsets for J in subsets], 8)
     for I, J in pairs:
         _assert_matches_oracle(rs, group, I, J)
+
+
+def _inverses(rs, group):
+    """w^{-1} for each w in group, as full products of the reflections of
+    w's reversed word: (u * s_i)^{-1} = s_i * u^{-1}."""
+    ident = tuple(tuple(int(r == c) for c in range(rs.rank))
+                  for r in range(rs.rank))
+    by_word = {(): ident}
+
+    def inverse(word):
+        if word not in by_word:
+            by_word[word] = _mat_mul(_reflection(rs, word[-1] - 1),
+                                     inverse(word[:-1]))
+        return by_word[word]
+    return [inverse(w.word) for w in group]
+
+
+def _parabolic_order(group, indices):
+    """|W_I|: the elements that change only the coordinates in I."""
+    rank = len(group[0].matrix)
+    return sum(all(w.matrix[k] == tuple(int(k == c) for c in range(rank))
+                   for k in range(rank) if k + 1 not in indices)
+               for w in group)
+
+
+def _assert_descents_and_kilmoyer(group, inverses, I, J):
+    """Representatives are the elements with no left descent in I and no
+    right descent in J; the coset of d has |W_I| |W_J| / |W_K| elements,
+    K = {i in I : d^{-1}(alpha_i) = alpha_j for some j in J} (Kilmoyer;
+    Carter, Finite Groups of Lie Type, 2.7)."""
+    dec = double_cosets(group, ParabolicType.of(I), ParabolicType.of(J))
+    rank = len(group[0].matrix)
+    unit = [tuple(int(k == c) for k in range(rank)) for c in range(rank)]
+    order_i, order_j = _parabolic_order(group, I), _parabolic_order(group, J)
+    minimal = []
+    for d, inv in zip(group, inverses):
+        images = [tuple(row[i - 1] for row in inv) for i in I]  # d^{-1}(a_i)
+        if (all(max(col) > 0 for col in images)
+                and all(max(row[j - 1] for row in d.matrix) > 0 for j in J)):
+            minimal.append(d)
+            K = [i for i, col in zip(I, images)
+                 if any(col == unit[j - 1] for j in J)]
+            assert dec.coset_sizes()[dec.representatives.index(d)] == (
+                order_i * order_j // _parabolic_order(group, K))
+    assert minimal == list(dec.representatives)
+
+
+@pytest.mark.parametrize("label,rank", [
+    ("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 2), ("C", 3),
+    ("D", 3), ("G", 2)])
+def test_representatives_by_descents_sizes_by_kilmoyer(label, rank):
+    rs = build_root_system(label, rank)
+    group = build_weyl_group(rs)
+    inverses = _inverses(rs, group)
+    for I in _subsets(rank):
+        for J in _subsets(rank):
+            _assert_descents_and_kilmoyer(group, inverses, I, J)
+
+
+@pytest.mark.parametrize("label,rank", [("A", 4), ("B", 4), ("C", 4), ("D", 4)])
+def test_representatives_by_descents_on_rank4_samples(label, rank):
+    rs = build_root_system(label, rank)
+    group = build_weyl_group(rs)
+    inverses = _inverses(rs, group)
+    subsets = _subsets(rank)
+    for I, J in random.Random(1618).sample(
+            [(I, J) for I in subsets for J in subsets], 4):
+        _assert_descents_and_kilmoyer(group, inverses, I, J)
+
+
+def test_representatives_by_descents_on_f4():
+    rs = build_root_system("F", 4)
+    group = build_weyl_group(rs, cap=1152)
+    _assert_descents_and_kilmoyer(group, _inverses(rs, group), (1, 3), (2, 3))
+
+
+@pytest.mark.parametrize("label,rank", [("B", 3), ("G", 2)])
+def test_double_cosets_ignore_group_order(label, rank):
+    rs = build_root_system(label, rank)
+    group = build_weyl_group(rs)
+    shuffled = list(group)
+    random.Random(4242).shuffle(shuffled)
+    for I in _subsets(rank):
+        for J in _subsets(rank):
+            dec = double_cosets(group, I, J)
+            again = double_cosets(tuple(shuffled), I, J)
+            assert again.representatives == dec.representatives
+            assert again.coset_map == dec.coset_map
 
 
 def test_double_cosets_rejects_bad_indices():
