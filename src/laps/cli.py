@@ -15,15 +15,14 @@ import math
 import re
 import sys
 from fractions import Fraction
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Tuple
 
 from . import __version__
 from .errors import ConfigError, ResourceLimitError
-from .padic import (_PRIME_BOUND, INF, dist_series, is_prime,
-                    mahler_coefficients, r_norm, RNormParam)
+from .padic import (_PRIME_BOUND, INF, _product_exceeds, dist_series,
+                    is_prime, mahler_coefficients, r_norm, RNormParam)
 from .parahoric import (ParabolicType, build_weyl_group, double_cosets,
                         iwahori_root_partition, weyl_element)
-from .record import Record, Value
 from .roots import GENERIC, Generic, Root, Weight, build_root_system
 from .verma import (ALL_POSITIVE, DELTA_ONLY, VARIANTS, VermaModule,
                     bgg_criterion, character_weight, kostant_counts,
@@ -36,32 +35,19 @@ VERDICT_IRREDUCIBLE = "irreducible"
 VERDICT_INCONCLUSIVE = "inconclusive"
 
 
-class ProblemConfig(Value):
+class ProblemConfig:
     """Parsed and validated problem description. parse_config fills it in
-    key by key, so it is mutable, and so unhashable."""
+    key by key; a key the config leaves out keeps the class default."""
 
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
+    group_kind = group_text = type_label = ""
+    rank = gamma = 0
+    oracle = False
+    c = lam = variant = oracle_bound = None
+    subset_i = subset_j = word = height_bound = None
+    p = d = degree = monomial = t = tau = terms = None
 
-    def __init__(self, group_kind: str = "", group_text: str = "",
-                 type_label: str = "", rank: int = 0, gamma: int = 0,
-                 c: Optional[tuple] = None, lam: Optional[tuple] = None,
-                 variant: Optional[str] = None, oracle: bool = False,
-                 oracle_bound: Optional[int] = None,
-                 subset_i: Optional[Tuple[int, ...]] = None,
-                 subset_j: Optional[Tuple[int, ...]] = None,
-                 word: Optional[Tuple[int, ...]] = None,
-                 height_bound: Optional[int] = None, p: Optional[int] = None,
-                 d: Optional[int] = None, degree: Optional[int] = None,
-                 monomial: Optional[Tuple[int, ...]] = None,
-                 t: Optional[Fraction] = None,
-                 tau: Optional[Tuple[Fraction, ...]] = None,
-                 terms: Optional[tuple] = None,
-                 echo: Optional[Dict[str, str]] = None):
-        fields = dict(locals(), echo={} if echo is None else echo)
-        del fields["self"]
-        self.__dict__.update(fields)
+    def __init__(self, echo: Dict[str, str]):
+        self.echo = echo  # each given key's raw value, in schema order
 
 
 def _tokenize_list(s: str):
@@ -348,8 +334,7 @@ def parse_config(text: str) -> ProblemConfig:
             continue
         raw[key] = (lineno, value)
 
-    cfg = ProblemConfig()
-    cfg.echo = {k: raw[k][1] for k in _SCHEMA if k in raw}
+    cfg = ProblemConfig({k: raw[k][1] for k in _SCHEMA if k in raw})
     for key, (attr, parse) in _SCHEMA.items():
         if key not in raw:
             continue
@@ -368,7 +353,7 @@ def parse_config(text: str) -> ProblemConfig:
 def _fmt(x) -> str:
     if isinstance(x, Generic):
         return "generic"
-    if x is INF or x == INF:
+    if x == INF:
         return "inf"
     return str(x)
 
@@ -397,20 +382,6 @@ def _fmt_pbw(order, vec) -> str:
     return " ".join(parts) if parts else "0"
 
 
-def _jsonify(x):
-    if isinstance(x, dict):
-        return {str(k): _jsonify(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonify(v) for v in x]
-    if isinstance(x, (Fraction, Root)):
-        return str(x)
-    if isinstance(x, Generic):
-        return "generic"
-    if isinstance(x, float):
-        return "inf" if x == INF else x
-    return x
-
-
 def _provenance(cfg: ProblemConfig) -> dict:
     return {
         "version": "laps " + __version__,
@@ -424,32 +395,28 @@ def _run_check(cfg: ProblemConfig) -> dict:
     requested = cfg.variant or ALL_POSITIVE
     verdict_variant = ALL_POSITIVE if requested == "both" else requested
 
+    rs = build_root_system(cfg.type_label, cfg.rank)
     if cfg.group_kind == "lie":
         if cfg.lam is None:
             raise ConfigError(["check requires config key 'lambda'"])
-        rs = build_root_system(cfg.type_label, cfg.rank)
         characters = [(None, Weight(cfg.lam))]
         character_echo = {"lambda": [_fmt(x) for x in cfg.lam]}
-    elif cfg.group_kind == "gl2":
-        if cfg.c is None:
-            raise ConfigError(["check requires config key 'c' for GL2"])
-        rs = build_root_system("A", 1)
-        lam = character_weight(rs, cfg.c)
-        characters = [(None, lam)]
-        character_echo = {"c": [_fmt(x) for x in cfg.c],
-                          "lambda": [_fmt(x) for x in lam.pairings]}
     else:
+        # GL2 is the one-embedding case of ResScalars, echoed unlabelled.
+        gl2 = cfg.group_kind == "gl2"
         if cfg.c is None:
-            raise ConfigError(["check requires config key 'c' for ResScalars"])
-        rs = build_root_system("A", 1)
+            raise ConfigError(["check requires config key 'c' for %s"
+                               % ("GL2" if gl2 else "ResScalars")])
+        embeddings = ([(None, cfg.c)] if gl2 else
+                      [("sigma%d" % k, c) for k, c in enumerate(cfg.c, 1)])
         characters = []
         character_echo = {}
-        for k, exps in enumerate(cfg.c, 1):
-            label = "sigma%d" % k
+        for label, exps in embeddings:
             lam = character_weight(rs, exps)
             characters.append((label, lam))
-            character_echo[label] = {"c": [_fmt(x) for x in exps],
-                                     "lambda": [_fmt(x) for x in lam.pairings]}
+            echo = {"c": [_fmt(x) for x in exps],
+                    "lambda": [_fmt(x) for x in lam.pairings]}
+            character_echo.update(echo if label is None else {label: echo})
 
     shown = VARIANTS if requested == "both" else (requested,)
     criteria = []
@@ -579,9 +546,18 @@ def _series_rows(series) -> list:
 
 def _run_mahler(cfg: ProblemConfig) -> dict:
     exps = cfg.monomial
+    # A coefficient is a product of surjection counts n!*S(k, n) <= D^k, so
+    # neither it nor a grid value exceeds D^(k_1+...+k_d).
+    if cfg.degree > 1 and _product_exceeds(
+            (cfg.degree for _ in range(sum(exps))), _NUMBER_CAP - 1):
+        raise ResourceLimitError(
+            "Mahler coefficients up to D^(k_1+...+k_d) with D = %d may "
+            "exceed %d digits" % (cfg.degree, _MAX_DIGITS))
+    # x^k = x^min(k, 1) on the grid {0, 1}: no power of a huge k
+    powers = exps if cfg.degree > 1 else [min(k, 1) for k in exps]
 
     def f(*point):
-        return Fraction(math.prod(x ** k for x, k in zip(point, exps)))
+        return Fraction(math.prod(x ** k for x, k in zip(point, powers)))
 
     series = mahler_coefficients(cfg.p, cfg.d, f, cfg.degree)
     return {
@@ -601,7 +577,7 @@ def _run_norm(cfg: ProblemConfig) -> dict:
     series = dist_series(cfg.p, cfg.d, dict(cfg.terms), bound)
     param = RNormParam(cfg.t, cfg.tau)
     exponent = r_norm(series, param)
-    if exponent is INF or exponent == INF:
+    if exponent == INF:
         norm_text = "0"
     elif exponent == 0:
         norm_text = "1"
@@ -745,13 +721,8 @@ _COMMANDS: Dict[str, _Command] = {
 }
 
 
-class Report(Record):
-    def __init__(self, command: str, payload: dict):
-        self.__dict__.update(command=command, payload=payload)
-
-
-def run(cfg: ProblemConfig, command: str) -> Report:
-    """Execute one subcommand against a parsed config."""
+def run(cfg: ProblemConfig, command: str) -> dict:
+    """Execute one subcommand against a parsed config; return its payload."""
     spec = _COMMANDS.get(command)
     if spec is None:
         raise ConfigError(["unknown command %r" % command])
@@ -760,21 +731,20 @@ def run(cfg: ProblemConfig, command: str) -> Report:
     if missing:
         raise ConfigError(["%s requires config key %r" % (command, key)
                            for key in missing])
-    payload = {"command": command, **spec.runner(cfg),
-               "provenance": _provenance(cfg)}
-    return Report(command, payload)
+    return {"command": command, **spec.runner(cfg),
+            "provenance": _provenance(cfg)}
 
 
-def render_machine(report: Report) -> str:
-    return json.dumps(_jsonify(report.payload), indent=2) + "\n"
+def render_machine(payload: dict) -> str:
+    # Every payload value is JSON-native but Fraction, printed with str.
+    return json.dumps(payload, indent=2, default=str) + "\n"
 
 
-def render_text(report: Report) -> str:
-    payload = report.payload
+def render_text(payload: dict) -> str:
     lines = ["laps report", "command: %s" % payload["command"]]
     if "group" in payload:
         lines.append("group: %s" % payload["group"])
-    _COMMANDS[report.command].render(payload, lines)
+    _COMMANDS[payload["command"]].render(payload, lines)
     prov = payload["provenance"]
     lines.append("")
     lines.append("provenance:")
@@ -854,7 +824,7 @@ def main(argv=None) -> int:
                 raise ConfigError(["--oracle-bound must be at least 1"])
             cfg.oracle = True
             cfg.oracle_bound = args.oracle_bound
-        report = run(cfg, args.command)
+        payload = run(cfg, args.command)
     except ConfigError as exc:
         for violation in exc.violations:
             print("laps: config error: %s" % violation, file=sys.stderr)
@@ -867,7 +837,7 @@ def main(argv=None) -> int:
         return 2
 
     render = render_machine if args.format == "machine" else render_text
-    sys.stdout.write(render(report))
+    sys.stdout.write(render(payload))
     return 0
 
 

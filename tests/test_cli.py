@@ -5,6 +5,8 @@ main() is driven in-process with explicit argv lists; the one subprocess is
 the fresh interpreter that checks what `import laps.cli` loads.
 """
 
+import contextlib
+import io
 import itertools
 import json
 import os
@@ -212,7 +214,7 @@ def test_parse_config_returns_config_or_config_error(lines):
 # -- check payloads ----------------------------------------------------------
 
 def test_check_gl2_irreducible():
-    payload = run(_cfg(GL2_GOOD), "check").payload
+    payload = run(_cfg(GL2_GOOD), "check")
     assert payload["verdict"] == "irreducible"
     assert payload["reason"] is None
     assert payload["variants_disagree"] is False
@@ -224,7 +226,7 @@ def test_check_gl2_irreducible():
 
 
 def test_check_gl2_inconclusive():
-    payload = run(_cfg("group = GL2\nc = [0, 0]\n"), "check").payload
+    payload = run(_cfg("group = GL2\nc = [0, 0]\n"), "check")
     assert payload["verdict"] == "inconclusive"
     assert "witness (a1, n = 1)" in payload["reason"]
     assert "converse is not asserted" in payload["reason"]
@@ -234,12 +236,12 @@ def test_check_gl2_inconclusive():
 
 def test_check_verdict_vocabulary_has_no_reducible():
     for c in ("[0, 0]", "[1/2, 0]", "[0, 3]", "[generic, 0]"):
-        payload = run(_cfg("group = GL2\nc = %s\n" % c), "check").payload
+        payload = run(_cfg("group = GL2\nc = %s\n" % c), "check")
         assert payload["verdict"] in ("irreducible", "inconclusive")
 
 
 def test_check_sl3_variants_disagree():
-    payload = run(_cfg(SL3_BOTH), "check").payload
+    payload = run(_cfg(SL3_BOTH), "check")
     assert payload["variants_disagree"] is True
     by_variant = {e["variant"]: e for e in payload["criteria"]}
     assert by_variant["delta-only"]["verdict"] == "simple"
@@ -250,7 +252,7 @@ def test_check_sl3_variants_disagree():
 
 
 def test_check_sl3_oracle_block():
-    payload = run(_cfg(SL3_BOTH), "check").payload
+    payload = run(_cfg(SL3_BOTH), "check")
     (block,) = payload["oracle"]
     assert block["reducible"] is True
     assert block["bound"] == 2
@@ -262,7 +264,7 @@ def test_check_sl3_oracle_block():
 
 def test_check_oracle_skipped_for_generic():
     text = "group = GL2\nc = [generic, 0]\noracle = true\n"
-    payload = run(_cfg(text), "check").payload
+    payload = run(_cfg(text), "check")
     assert payload["verdict"] == "irreducible"
     (block,) = payload["oracle"]
     assert "generic exponents" in block["skipped"]
@@ -270,7 +272,7 @@ def test_check_oracle_skipped_for_generic():
 
 def test_check_resscalars_embeddings():
     text = "group = ResScalars(GL2, 2)\nc = [[0, 0], [1/2, 0]]\n"
-    payload = run(_cfg(text), "check").payload
+    payload = run(_cfg(text), "check")
     labels = [e["embedding"] for e in payload["criteria"]]
     assert labels == ["sigma1", "sigma2"]
     assert payload["verdict"] == "inconclusive"
@@ -279,7 +281,7 @@ def test_check_resscalars_embeddings():
 
 def test_check_resscalars_all_simple():
     text = "group = ResScalars(GL2, 2)\nc = [[1/2, 0], [3/2, 1]]\n"
-    payload = run(_cfg(text), "check").payload
+    payload = run(_cfg(text), "check")
     assert payload["verdict"] == "irreducible"
     assert payload["character"]["sigma2"]["lambda"] == ["-1/2"]
 
@@ -296,7 +298,7 @@ def test_check_requires_character_data():
 # -- other subcommand payloads -----------------------------------------------
 
 def test_cosets_payload():
-    payload = run(_cfg("group = A2\nI = [1]\nJ = [1]\n"), "cosets").payload
+    payload = run(_cfg("group = A2\nI = [1]\nJ = [1]\n"), "cosets")
     assert payload["group_order"] == 6
     assert payload["coset_count"] == 2
     assert [r["representative"] for r in payload["cosets"]] == ["e", "s2"]
@@ -305,14 +307,14 @@ def test_cosets_payload():
 
 
 def test_cosets_j_defaults_to_i():
-    with_j = run(_cfg("group = B2\nI = [1]\nJ = [1]\n"), "cosets").payload
-    without = run(_cfg("group = B2\nI = [1]\n"), "cosets").payload
+    with_j = run(_cfg("group = B2\nI = [1]\nJ = [1]\n"), "cosets")
+    without = run(_cfg("group = B2\nI = [1]\n"), "cosets")
     assert with_j["cosets"] == without["cosets"]
     assert without["J"] == [1]
 
 
 def test_partition_payload():
-    payload = run(_cfg("group = A2\nI = [1]\nw = [2]\n"), "partition").payload
+    payload = run(_cfg("group = A2\nI = [1]\nw = [2]\n"), "partition")
     assert payload["w"] == "s2"
     assert payload["plus"] == ["-(a2)", "a1+a2"]
     assert payload["minus"] == ["-(a1+a2)", "a2"]
@@ -320,7 +322,7 @@ def test_partition_payload():
 
 def test_weights_payload():
     text = "group = A2\nlambda = [0, 0]\nheight_bound = 2\n"
-    payload = run(_cfg(text), "weights").payload
+    payload = run(_cfg(text), "weights")
     by_nu = {row["nu"]: row["dimension"] for row in payload["rows"]}
     assert by_nu == {"0": 1, "a1": 1, "a2": 1, "2a1": 1, "a1+a2": 2,
                      "2a2": 1}
@@ -367,7 +369,7 @@ def test_weights_are_kostant_counts(group, roots, height):
     # Two references: the coin-change recursion above, and the length of
     # the enumerator's list of partitions, a different algorithm.
     text = "group = %s\nheight_bound = %d\n" % (group, height)
-    payload = run(_cfg(text), "weights").payload
+    payload = run(_cfg(text), "weights")
     expected = {_nu_text(nu): n
                 for nu, n in _coin_change_counts(roots, height).items()}
     got = {row["nu"]: row["dimension"] for row in payload["rows"]}
@@ -436,15 +438,15 @@ def test_main_weights_over_row_limit_refused_quickly(tmp_path, capsys, group,
 def test_weights_budget_admits_its_limit(monkeypatch):
     # A2 at height 3: C(5, 2) = 10 rows x 3 positive roots = 30 additions
     monkeypatch.setattr(verma, "COUNTS_CAP", 30)
-    assert len(run(_cfg("group = A2\nheight_bound = 3\n"), "weights")
-               .payload["rows"]) == 10
+    assert len(run(_cfg("group = A2\nheight_bound = 3\n"),
+                   "weights")["rows"]) == 10
     monkeypatch.setattr(verma, "COUNTS_CAP", 29)
     with pytest.raises(ResourceLimitError, match="= 30 exceeds the limit 29"):
         run(_cfg("group = A2\nheight_bound = 3\n"), "weights")
     monkeypatch.setattr(verma, "COUNTS_CAP", 30)
     monkeypatch.setattr(verma, "COUNTS_ROWS_CAP", 10)
-    assert len(run(_cfg("group = A2\nheight_bound = 3\n"), "weights")
-               .payload["rows"]) == 10
+    assert len(run(_cfg("group = A2\nheight_bound = 3\n"),
+                   "weights")["rows"]) == 10
     monkeypatch.setattr(verma, "COUNTS_ROWS_CAP", 9)
     with pytest.raises(ResourceLimitError,
                        match="10 rows exceeds the row limit 9"):
@@ -467,7 +469,7 @@ def test_main_weights_rejects_lambda(tmp_path, capsys, text, message):
 
 def test_mahler_payload():
     text = "p = 3\nd = 1\ndegree = 3\nmonomial = [2]\n"
-    payload = run(_cfg(text), "mahler").payload
+    payload = run(_cfg(text), "mahler")
     rows = {tuple(r["n"]): r["c"] for r in payload["coefficients"]}
     assert rows == {(1,): Fraction(1), (2,): Fraction(2)}
     assert payload["degree_bound"] == 3
@@ -476,21 +478,35 @@ def test_mahler_payload():
 def test_norm_payload():
     text = ("p = 3\nd = 2\nt = 1/2\ntau = [1, 2]\ndegree = 4\n"
             "terms = [[0, 0, 1], [1, 1, 1/3]]\n")
-    payload = run(_cfg(text), "norm").payload
+    payload = run(_cfg(text), "norm")
     assert payload["exponent"] == 0
     assert payload["norm"] == "1"
 
 
 def test_norm_zero_series():
     text = "p = 3\nd = 1\nt = 1/2\ntau = [1]\ndegree = 2\nterms = []\n"
-    payload = run(_cfg(text), "norm").payload
+    payload = run(_cfg(text), "norm")
     assert payload["exponent"] == "inf"
     assert payload["norm"] == "0"
 
 
+def test_main_norm_zero_series_machine_format(tmp_path, capsys):
+    # Every coefficient is zero, so the series is 0 and its exponent is
+    # infinite; the JSON carries it as the string "inf", never a float.
+    path = _write(tmp_path, "p = 3\nd = 1\nt = 1/2\ntau = [1]\n"
+                            "terms = [[0, 0], [2, 0/5]]\n")
+    assert main(["norm", "--config", path, "--format", "machine"]) == 0
+
+    def no_constant(name):
+        raise AssertionError("JSON constant %s in the report" % name)
+
+    data = json.loads(capsys.readouterr().out, parse_constant=no_constant)
+    assert (data["terms"], data["exponent"], data["norm"]) == ([], "inf", "0")
+
+
 def test_norm_fractional_exponent_text():
     text = "p = 3\nd = 1\nt = 1/2\ntau = [1]\nterms = [[1, 1]]\n"
-    payload = run(_cfg(text), "norm").payload
+    payload = run(_cfg(text), "norm")
     assert payload["exponent"] == Fraction(1, 2)
     assert payload["norm"] == "3^(-1/2)"
 
@@ -517,8 +533,8 @@ def test_render_text_layout():
 
 
 def test_render_machine_is_json():
-    report = run(_cfg(SL3_BOTH), "check")
-    data = json.loads(render_machine(report))
+    payload = run(_cfg(SL3_BOTH), "check")
+    data = json.loads(render_machine(payload))
     assert data["command"] == "check"
     assert data["verdict"] == "inconclusive"
     assert data["provenance"]["config"]["lambda"] == "[-1/2, -1/2]"
@@ -526,10 +542,10 @@ def test_render_machine_is_json():
 
 
 def test_render_deterministic():
-    report_a = run(_cfg(SL3_BOTH), "check")
-    report_b = run(_cfg(SL3_BOTH), "check")
-    assert render_text(report_a) == render_text(report_b)
-    assert render_machine(report_a) == render_machine(report_b)
+    payload_a = run(_cfg(SL3_BOTH), "check")
+    payload_b = run(_cfg(SL3_BOTH), "check")
+    assert render_text(payload_a) == render_text(payload_b)
+    assert render_machine(payload_a) == render_machine(payload_b)
 
 
 # -- main() and exit codes ---------------------------------------------------
@@ -610,6 +626,68 @@ def test_main_mahler_large_prime(tmp_path, capsys):
                   % (2 ** 61 - 1))
     assert main(["mahler", "--config", path]) == 0
     assert "p: 2305843009213693951" in capsys.readouterr().out
+
+
+_COEFFICIENT_REFUSAL = ("Mahler coefficients up to D^(k_1+...+k_d) with D = 2 "
+                       "may exceed 4300 digits")
+
+
+@pytest.mark.parametrize("text,message", [
+    # a 5^12-point grid; it ended in MemoryError
+    ("p = 3\nd = 12\ndegree = 4\nmonomial = [%s]\n" % ", ".join(["1"] * 12),
+     "Mahler grid {0..4}^12 needs d*D*(D+1)^d = 12*4*(4+1)^12 difference "
+     "steps, over the limit 1000000"),
+    ("p = 3\nd = 1\ndegree = 100000000\nmonomial = [2]\n",
+     "Mahler grid {0..100000000}^1 needs d*D*(D+1)^d = "
+     "1*100000000*(100000000+1)^1 difference steps, over the limit 1000000"),
+    # 2!*S(20000, 2) = 2^20000 - 2 has 6,021 digits and could not be printed
+    ("p = 3\nd = 1\ndegree = 2\nmonomial = [20000]\n", _COEFFICIENT_REFUSAL),
+    ("p = 3\nd = 1\ndegree = 2\nmonomial = [1000000000000]\n",
+     _COEFFICIENT_REFUSAL),
+], ids=["d12", "degree_1e8", "monomial_20000", "monomial_1e12"])
+def test_main_mahler_over_budget_refused_quickly(tmp_path, capsys, text,
+                                                 message):
+    path = _write(tmp_path, text)
+    start = time.perf_counter()
+    assert main(["mahler", "--config", path]) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "laps: resource limit: %s\n" % message
+
+
+def test_main_mahler_coefficient_limit_is_exact(tmp_path, capsys):
+    # 2^14284 has 4,300 digits, 2^14285 has 4,301
+    path = _write(tmp_path, "p = 3\nd = 1\ndegree = 2\nmonomial = [14284]\n")
+    assert main(["mahler", "--config", path]) == 0
+    assert "n = [2]: c = %d\n" % (2 ** 14284 - 2) in capsys.readouterr().out
+    path = _write(tmp_path, "p = 3\nd = 1\ndegree = 2\nmonomial = [14285]\n")
+    assert main(["mahler", "--config", path]) == 2
+    assert capsys.readouterr().err == (
+        "laps: resource limit: %s\n" % _COEFFICIENT_REFUSAL)
+
+
+# Each draw is small (at most 3) or far over a limit: a degree of a million
+# or more passes the grid budget, an exponent that large the digit limit
+# whenever D >= 2.
+_SMALL_OR_HUGE = st.one_of(st.integers(0, 3), st.integers(10 ** 6, 10 ** 4299))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda d: st.tuples(
+    st.just(d), _SMALL_OR_HUGE,
+    st.lists(_SMALL_OR_HUGE, min_size=d, max_size=d))))
+def test_main_mahler_ends_in_report_or_refusal(tmp_path_factory, drawn):
+    d, degree, monomial = drawn
+    path = tmp_path_factory.getbasetemp() / "mahler_drawn.cfg"
+    path.write_text("p = 3\nd = %d\ndegree = %d\nmonomial = [%s]\n"
+                    % (d, degree, ", ".join(map(str, monomial))),
+                    encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["mahler", "--config", str(path)])
+    assert code in (0, 2)
+    assert (code == 2) == err.getvalue().startswith("laps: resource limit: ")
 
 
 def test_main_uncertifiable_prime_is_refused_quickly(tmp_path, capsys):

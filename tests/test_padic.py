@@ -7,14 +7,15 @@ INF sentinel for zero elements.
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from laps import (DistSeries, MahlerSeries, PValuationSpec, RNormParam,
-                  canonical_valuation, dist_multiply, dist_series,
-                  mahler_coefficients, mahler_evaluate, p_valuation_of_word,
-                  r_norm, rational_valuation)
+                  ResourceLimitError, canonical_valuation, dist_multiply,
+                  dist_series, mahler_coefficients, mahler_evaluate,
+                  p_valuation_of_word, padic, r_norm, rational_valuation)
 from laps.padic import INF, epsilon, is_prime
 
 
@@ -186,6 +187,30 @@ def test_mahler_degree_bound_is_full_box():
     s = mahler_coefficients(2, 2, lambda x, y: Fraction(1), 3)
     assert s.degree_bound == 6
     assert s.coefficients == {(0, 0): Fraction(1)}
+
+
+def test_mahler_budget_admits_its_limit(monkeypatch):
+    # d = 2, D = 3: two axes of three sweeps over 4^2 points = 96 steps
+    def f(x, y):
+        return x * y
+    monkeypatch.setattr(padic, "MAHLER_CAP", 96)
+    assert mahler_coefficients(3, 2, f, 3).coefficients == {(1, 1): 1}
+    monkeypatch.setattr(padic, "MAHLER_CAP", 95)
+    with pytest.raises(ResourceLimitError,
+                       match=r"\{0\.\.3\}\^2 needs d\*D\*\(D\+1\)\^d = "
+                             r"2\*3\*\(3\+1\)\^2 difference steps, over the "
+                             r"limit 95"):
+        mahler_coefficients(3, 2, f, 3)
+
+
+# d is at most the monomial's length in a config, but not for a library
+# caller; no power (D + 1)^d is formed.
+@pytest.mark.parametrize("d,bound", [(10 ** 4299, 1), (10 ** 4299, 10 ** 4299)])
+def test_mahler_over_budget_refused_before_the_grid(d, bound):
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match="over the limit 1000000"):
+        mahler_coefficients(3, d, lambda *point: 0, bound)
+    assert time.perf_counter() - start < 1.0
 
 
 # -- series and norms --------------------------------------------------------
