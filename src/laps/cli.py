@@ -21,8 +21,8 @@ from . import __version__
 from .errors import ConfigError, ResourceLimitError
 from .padic import (_PRIME_BOUND, INF, _product_exceeds, dist_series,
                     is_prime, mahler_coefficients, r_norm, RNormParam)
-from .parahoric import (ParabolicType, build_weyl_group, double_cosets,
-                        iwahori_root_partition, weyl_element)
+from .parahoric import (ParabolicType, double_cosets, iwahori_root_partition,
+                        weyl_element)
 from .roots import GENERIC, Generic, Root, Weight, build_root_system
 from .verma import (ALL_POSITIVE, DELTA_ONLY, VARIANTS, VermaModule,
                     bgg_criterion, character_weight, kostant_counts,
@@ -485,11 +485,10 @@ def _run_check(cfg: ProblemConfig) -> dict:
 
 def _run_cosets(cfg: ProblemConfig) -> dict:
     rs = build_root_system(cfg.type_label, cfg.rank)
-    group = build_weyl_group(rs)
     subset_i = ParabolicType.of(cfg.subset_i or ())
     subset_j = (ParabolicType.of(cfg.subset_j)
                 if cfg.subset_j is not None else subset_i)
-    decomposition = double_cosets(group, subset_i, subset_j)
+    decomposition = double_cosets(rs, subset_i, subset_j)
     rows = [{"representative": str(rep), "length": rep.length, "size": size}
             for rep, size in zip(decomposition.representatives,
                                  decomposition.coset_sizes())]
@@ -497,7 +496,7 @@ def _run_cosets(cfg: ProblemConfig) -> dict:
         "group": cfg.group_text,
         "I": list(subset_i.indices),
         "J": list(subset_j.indices),
-        "group_order": len(group),
+        "group_order": decomposition.group_order,
         "coset_count": len(rows),
         "cosets": rows,
     }

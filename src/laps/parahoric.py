@@ -9,10 +9,10 @@ one simple reflection at a time, as local updates (CONVENTIONS.md).
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Iterable, Sequence, Tuple
 
 from .errors import ResourceLimitError
-from .record import Record, Value
+from .record import Value
 from .roots import Root, RootSystem
 
 IntMatrix = Tuple[Tuple[int, ...], ...]
@@ -51,20 +51,17 @@ class ParabolicType(Value):
         return cls(tuple(sorted(set(int(i) for i in indices))))
 
 
-class DoubleCosetDecomposition(Record):
-    """Orbit data of W_I x W_J acting by (u, v) . w = u w v^{-1}; repr leaves
-    out coset_map, which maps each element to its representative."""
+class DoubleCosetDecomposition(Value):
+    """W_I \\ W / W_J: |W|, the minimal element of each double coset in
+    (length, word) order, and the size of each coset."""
 
-    _shown = 1
-
-    def __init__(self, representatives: Tuple[WeylElement, ...],
-                 coset_map: Dict[WeylElement, WeylElement]):
-        self.__dict__.update(representatives=representatives,
-                             coset_map=coset_map)
+    def __init__(self, group_order: int, representatives: Tuple[WeylElement, ...],
+                 sizes: Tuple[int, ...]):
+        self.__dict__.update(group_order=group_order,
+                             representatives=representatives, sizes=sizes)
 
     def coset_sizes(self) -> Tuple[int, ...]:
-        counts = Counter(self.coset_map.values())
-        return tuple(counts[rep] for rep in self.representatives)
+        return self.sizes
 
 
 def _identity(rank: int) -> IntMatrix:
@@ -76,15 +73,6 @@ def _times_s(m: IntMatrix, cartan, i: int) -> IntMatrix:
     a = cartan[i]
     return tuple(tuple(v - row[i] * c for v, c in zip(row, a)) if row[i] else row
                  for row in m)
-
-
-def _s_times(cartan, i: int, m: IntMatrix) -> IntMatrix:
-    """s_i * m, i 0-based: row i loses sum_j a_ij times row j."""
-    new = m[i]
-    for a, row in zip(cartan[i], m):
-        if a:
-            new = tuple(v - a * x for v, x in zip(new, row))
-    return m[:i] + (new,) + m[i + 1:]
 
 
 def _descent_word(rs: RootSystem, matrix: IntMatrix) -> Tuple[int, ...]:
@@ -119,37 +107,47 @@ def invert(rs: RootSystem, a: WeylElement) -> WeylElement:
     return weyl_element(rs, reversed(a.word))
 
 
-def build_weyl_group(rs: RootSystem, cap: int = WEYL_ORDER_CAP) -> Tuple[WeylElement, ...]:
-    """The whole Weyl group by breadth-first closure, sorted by (length, word).
-    With the generators as the outer loop, each element is first reached
-    through its smallest right descent, so its word is the canonical one.
+def _orbit(rs: RootSystem, start: Tuple[int, ...], gens: Sequence[int], cap: int,
+           per: int = 1) -> Dict[tuple, Tuple[IntMatrix, Tuple[int, ...]]]:
+    """The orbit of a dominant weight mu under the simple reflections gens
+    (0-based, ascending), by a lowering breadth-first search on coroot
+    pairings: start is mu's, s_i is taken only where the i-th pairing y_i is
+    positive, and s_i maps y_j -> y_j - a_ji y_i.
 
-    An element w is keyed by y, the coroot pairings of w^{-1}(rho): rho's
-    orbit is free, so keys are distinct, and w * s_i has key y_j - a_ji y_i,
-    longer than w exactly when y_i > 0. The matrix is formed once per
-    element."""
+    Maps each point nu = u(mu), u minimal in u W_mu, to the matrix and word
+    of d = u^{-1}, in order of length: a new point stores its parent's matrix
+    times s_i and its parent's word plus i. The right descents of d are the
+    i with nu_i < 0, and with the generators as the outer loop nu is first
+    reached through the smallest of them, so the word is d's canonical one.
+    More than cap // per points is refused, as a Weyl group of more than cap
+    elements."""
     cartan = rs.cartan_matrix
-    rho = (1,) * rs.rank
-    seen: Dict[Tuple[int, ...], Tuple[IntMatrix, Tuple[int, ...]]] = {
-        rho: (_identity(rs.rank), ())}
-    frontier = [rho]
+    seen = {start: (_identity(rs.rank), ())}
+    frontier = [start]
     while frontier:
         new = []
-        for i in range(rs.rank):
+        for i in gens:
             column = [row[i] for row in cartan]
             for y in frontier:
-                if y[i] < 0:
-                    continue  # w * s_i is shorter, so already seen
+                if y[i] <= 0:
+                    continue  # s_i fixes nu or was the step that reached it
                 key = tuple(v - a * y[i] for v, a in zip(y, column))
                 if key not in seen:
                     m, word = seen[y]
                     seen[key] = (_times_s(m, cartan, i), word + (i + 1,))
                     new.append(key)
-                    if len(seen) > cap:
+                    if len(seen) * per > cap:
                         raise ResourceLimitError(
                             "Weyl group exceeds the cap of %d elements" % cap)
         frontier = new
-    elements = [WeylElement(m, word) for m, word in seen.values()]
+    return seen
+
+
+def build_weyl_group(rs: RootSystem, cap: int = WEYL_ORDER_CAP) -> Tuple[WeylElement, ...]:
+    """The whole Weyl group sorted by (length, word): the orbit of rho, which
+    is free, so it has one point per element."""
+    orbit = _orbit(rs, (1,) * rs.rank, range(rs.rank), cap)
+    elements = [WeylElement(m, word) for m, word in orbit.values()]
     return tuple(sorted(elements, key=lambda w: (w.length, w.word)))
 
 
@@ -162,38 +160,36 @@ def _normalize_indices(group_rank: int, indices) -> Tuple[int, ...]:
     return idx
 
 
-def double_cosets(group: Tuple[WeylElement, ...], I, J) -> DoubleCosetDecomposition:
-    """Decompose W into W_I w W_J orbits under (u, v) . w = u w v^{-1}.
+def double_cosets(rs: RootSystem, I, J,
+                  cap: int = WEYL_ORDER_CAP) -> DoubleCosetDecomposition:
+    """W_I \\ W / W_J from the orbit of lambda_I, the weight with pairings 0
+    on I and 1 elsewhere, whose stabilizer is W_I (Humphreys, Reflection
+    Groups and Coxeter Groups, 1.12); W itself is not listed.
 
-    The representative of each orbit is its minimal element by (length, word),
-    the one element of the orbit with no left descent in I and no right
-    descent in J (Carter, Finite Groups of Lie Type, 2.7). Walking W in
-    (length, word) order, an element with such a descent takes the
-    representative of the shorter element, which is already mapped.
-    """
-    by_matrix = {w.matrix: w for w in group}
-    gens = {w.word[0]: w.matrix for w in group if w.length == 1}
-    rank = len(gens)
-    cartan = tuple(tuple((1 if i == j else 0) - gens[i + 1][i][j]  # s_i[i][j]
-                         for j in range(rank)) for i in range(rank))
-    left = [i - 1 for i in _normalize_indices(rank, I)]
-    right = [j - 1 for j in _normalize_indices(rank, J)]
-
-    coset_map: Dict[WeylElement, WeylElement] = {}
-    representatives = []
-    for w in sorted(group, key=lambda x: (x.length, x.word)):
-        m = w.matrix
-        # w * s_j < w iff column j, the image of alpha_j, has no positive entry
-        shorter = next((by_matrix[_times_s(m, cartan, j)] for j in right
-                        if all(row[j] <= 0 for row in m)), None)
-        if shorter is None:
-            shorter = next((u for u in (by_matrix[_s_times(cartan, i, m)]
-                                        for i in left) if u.length < w.length),
-                           None)
-        if shorter is None:
-            representatives.append(w)
-        coset_map[w] = w if shorter is None else coset_map[shorter]
-    return DoubleCosetDecomposition(tuple(representatives), coset_map)
+    A point nu = u(lambda_I) stands for the coset W_I d, d = u^{-1}, and
+    W_I d v for v^{-1}(nu), so a double coset is a W_J-orbit of points. Its
+    minimal element, the one with no left descent in I and no right descent
+    in J (Carter, Finite Groups of Lie Type, 2.7), is the point with
+    nu_j >= 0 for every j in J. Each point is raised by s_j (nu_j < 0) to
+    that point, and a coset's size is |W_I| times the points that reach it.
+    |W_I| is the size of rho's orbit under I, |W| = |W_I| |orbit|, and a |W|
+    over cap is refused."""
+    left = [i - 1 for i in _normalize_indices(rs.rank, I)]
+    right = [j - 1 for j in _normalize_indices(rs.rank, J)]
+    order_i = len(_orbit(rs, (1,) * rs.rank, left, cap))
+    lam = tuple(0 if i in left else 1 for i in range(rs.rank))
+    points = _orbit(rs, lam, range(rs.rank), cap, order_i)
+    cartan = rs.cartan_matrix
+    top: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
+    for y in points:  # s_j nu is shorter, so already placed
+        j = next((j for j in right if y[j] < 0), None)
+        top[y] = y if j is None else top[
+            tuple(v - row[j] * y[j] for v, row in zip(y, cartan))]
+    counts = Counter(top.values())
+    reps = sorted(counts, key=lambda y: (len(points[y][1]), points[y][1]))
+    return DoubleCosetDecomposition(
+        order_i * len(points), tuple(WeylElement(*points[y]) for y in reps),
+        tuple(order_i * counts[y] for y in reps))
 
 
 def iwahori_root_partition(rs: RootSystem, I, w: WeylElement):

@@ -342,10 +342,15 @@ def kostant_counts(rs: RootSystem, height_bound: int) -> Dict[Coords, int]:
     rows = math.comb(height_bound + rs.rank, rs.rank)
     estimate = rows * len(rs.positive_roots)
     if estimate > COUNTS_CAP:
-        raise ResourceLimitError(
-            "Kostant count table of %d rows x %d positive roots = %d "
-            "exceeds the limit %d" % (rows, len(rs.positive_roots), estimate,
-                                      COUNTS_CAP))
+        try:
+            message = ("Kostant count table of %d rows x %d positive roots = "
+                       "%d exceeds the limit %d"
+                       % (rows, len(rs.positive_roots), estimate, COUNTS_CAP))
+        except ValueError:  # too many digits to print as an integer
+            message = ("Kostant count table at height_bound %d and rank %d "
+                       "exceeds the limit %d"
+                       % (height_bound, rs.rank, COUNTS_CAP))
+        raise ResourceLimitError(message)
     if rows > COUNTS_ROWS_CAP:
         raise ResourceLimitError(
             "Kostant count table of %d rows exceeds the row limit %d"

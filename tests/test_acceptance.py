@@ -121,9 +121,8 @@ def test_c4a_weyl_orders_and_trivial_cosets():
         group = build_weyl_group(build_root_system(t, r))
         ok = ok and len(group) == expected
     a2 = build_root_system("A", 2)
-    group = build_weyl_group(a2)
     empty = ParabolicType.of(())
-    decomposition = double_cosets(group, empty, empty)
+    decomposition = double_cosets(a2, empty, empty)
     ok = ok and len(decomposition.representatives) == 6
     assert _report("c4a", "weyl group orders and trivial cosets", ok)
 
@@ -133,8 +132,8 @@ def test_c4b_a2_parabolic_double_coset_count():
     group = build_weyl_group(rs)
     sub = ParabolicType.of((1,))
     empty = ParabolicType.of(())
-    two_sided = double_cosets(group, sub, sub)
-    one_sided = len(double_cosets(group, sub, empty).representatives)
+    two_sided = double_cosets(rs, sub, sub)
+    one_sided = len(double_cosets(rs, sub, empty).representatives)
     # Each (I, J) double coset holds exactly one element with no left descent
     # in I and no right descent in J; count those without double_cosets.
     gens = {w.word[0]: w for w in group if w.length == 1}
@@ -162,6 +161,9 @@ def test_c4b_a2_parabolic_double_coset_count():
 
 
 def test_c4c_double_cosets_partition():
+    # The orbits u * d * v over W_I x W_J of the representatives d are
+    # disjoint, cover W, have the reported sizes and have d as a shortest
+    # element. W_I is the elements whose reduced word uses only I.
     ok = True
     for t, r in (("A", 2), ("B", 2), ("G", 2)):
         rs = build_root_system(t, r)
@@ -172,12 +174,18 @@ def test_c4c_double_cosets_partition():
             subsets.extend(itertools.combinations(indices, size))
         for subset_i in subsets:
             for subset_j in subsets:
-                dec = double_cosets(group, ParabolicType.of(subset_i),
+                dec = double_cosets(rs, ParabolicType.of(subset_i),
                                     ParabolicType.of(subset_j))
-                sizes = dec.coset_sizes()
-                ok = ok and sum(sizes) == len(group)
-                assigned = {dec.coset_map[w] for w in group}
-                ok = ok and assigned == set(dec.representatives)
+                sub_i = [u for u in group if set(u.word) <= set(subset_i)]
+                sub_j = [v for v in group if set(v.word) <= set(subset_j)]
+                covered = set()
+                for d, size in zip(dec.representatives, dec.coset_sizes()):
+                    orbit = {multiply(rs, multiply(rs, u, d), v)
+                             for u in sub_i for v in sub_j}
+                    ok = (ok and len(orbit) == size and not orbit & covered
+                          and d.length == min(w.length for w in orbit))
+                    covered |= orbit
+                ok = ok and covered == set(group) and dec.group_order == len(group)
     assert _report("c4c", "double cosets partition the group", ok)
 
 

@@ -306,6 +306,17 @@ def test_cosets_payload():
     assert sum(r["size"] for r in payload["cosets"]) == 6
 
 
+def test_main_cosets_f4_exceeds_the_weyl_cap(tmp_path, capsys):
+    # |W(F4)| = 1152 > WEYL_ORDER_CAP, for every I: W_I and the orbit of
+    # lambda_I share the cap.
+    for indices in ("[]", "[1, 2, 3, 4]", "[2, 3]"):
+        path = _write(tmp_path, "group = F4\nI = %s\n" % indices)
+        assert main(["cosets", "--config", path]) == 2
+        assert capsys.readouterr() == (
+            "", "laps: resource limit: Weyl group exceeds the cap of 1000 "
+            "elements\n")
+
+
 def test_cosets_j_defaults_to_i():
     with_j = run(_cfg("group = B2\nI = [1]\nJ = [1]\n"), "cosets")
     without = run(_cfg("group = B2\nI = [1]\n"), "cosets")
@@ -417,6 +428,19 @@ def test_main_weights_over_budget_refused_quickly(tmp_path, capsys, group,
     assert capsys.readouterr().err == (
         "laps: resource limit: Kostant count table of %d rows x %d positive "
         "roots = %d exceeds the limit 2500000\n" % (rows, roots, rows * roots))
+
+
+def test_main_weights_unprintable_count_refused_quickly(tmp_path, capsys):
+    # C(H + 4, 4) x 16 has about 17,000 digits, past the interpreter's limit
+    # for printing an int, so the refusal names H and the rank instead.
+    height = 10 ** 4299
+    path = _write(tmp_path, "group = B4\nheight_bound = %d\n" % height)
+    start = time.perf_counter()
+    assert main(["weights", "--config", path]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == (
+        "laps: resource limit: Kostant count table at height_bound %d and "
+        "rank 4 exceeds the limit 2500000\n" % height)
 
 
 @pytest.mark.parametrize("group,height,rows", [

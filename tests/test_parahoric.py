@@ -1,7 +1,7 @@
 """Weyl group combinatorics: enumeration, canonical words, double cosets,
 and the root-sign partition.
 
-The one-reflection updates, the closure and the double cosets are checked
+The one-reflection update, the closure and the double cosets are checked
 against full integer matrix products written here, with no shared code
 with the production BFS: the closure reference is keyed by matrix, the
 orbit oracle multiplies out u * w * v over the full parabolic subgroups,
@@ -19,7 +19,7 @@ import pytest
 from laps import (ParabolicType, ResourceLimitError, Root, build_root_system,
                   build_weyl_group, double_cosets, iwahori_root_partition,
                   weyl_element)
-from laps.parahoric import _s_times, _times_s, invert, multiply
+from laps.parahoric import _times_s, invert, multiply
 
 # Every type within the rank cap whose group fits under WEYL_ORDER_CAP.
 WEYL_ORDERS = {
@@ -99,7 +99,6 @@ def test_one_reflection_updates_match_full_products(label, rank):
     for w in build_weyl_group(rs):
         for i, s in enumerate(gens):
             assert _times_s(w.matrix, rs.cartan_matrix, i) == _mat_mul(w.matrix, s)
-            assert _s_times(rs.cartan_matrix, i, w.matrix) == _mat_mul(s, w.matrix)
 
 
 @pytest.mark.parametrize("label,rank", [("B", 2), ("G", 2), ("A", 3)])
@@ -211,38 +210,46 @@ def _parabolic_matrices(rs, indices):
     return members
 
 
+def _assert_pins_orbits(dec, group, oracle):
+    """As many representatives as oracle orbits, each in its own orbit, the
+    shortest element of it, with that orbit's size."""
+    by_matrix = {w.matrix: w for w in group}
+    assert dec.group_order == len(group)
+    assert len(dec.representatives) == len(dec.coset_sizes()) == len(oracle)
+    homes = []
+    for rep, size in zip(dec.representatives, dec.coset_sizes()):
+        assert by_matrix[rep.matrix] == rep
+        k = next(k for k, orbit in enumerate(oracle) if rep.matrix in orbit)
+        homes.append(k)
+        assert rep.length == min(by_matrix[m].length for m in oracle[k])
+        assert size == len(oracle[k])
+    assert sorted(homes) == list(range(len(oracle)))
+
+
 def _assert_matches_oracle(rs, group, I, J):
-    dec = double_cosets(group, ParabolicType.of(I), ParabolicType.of(J))
-    oracle = _orbit_oracle(rs, group, I, J)
-    assert len(dec.representatives) == len(oracle)
-    assert sorted(dec.coset_sizes()) == sorted(len(o) for o in oracle)
-    assert set(dec.coset_map) == set(group)
-    for rep in dec.representatives:
-        members = {w.matrix for w, r in dec.coset_map.items() if r == rep}
-        assert members in oracle
+    dec = double_cosets(rs, ParabolicType.of(I), ParabolicType.of(J))
+    _assert_pins_orbits(dec, group, _orbit_oracle(rs, group, I, J))
 
 
 def test_trivial_parabolic_gives_singletons():
     rs = build_root_system("A", 2)
-    group = build_weyl_group(rs)
     empty = ParabolicType.of([])
-    dec = double_cosets(group, empty, empty)
+    dec = double_cosets(rs, empty, empty)
     assert len(dec.representatives) == 6
     assert dec.coset_sizes() == (1,) * 6
 
 
 def test_a1_trivial_parabolic():
     rs = build_root_system("A", 1)
-    group = build_weyl_group(rs)
     empty = ParabolicType.of([])
-    assert len(double_cosets(group, empty, empty).representatives) == 2
+    assert len(double_cosets(rs, empty, empty).representatives) == 2
 
 
 def test_a2_parabolic_cosets_match_orbit_oracle():
     rs = build_root_system("A", 2)
     group = build_weyl_group(rs)
     one = ParabolicType.of([1])
-    dec = double_cosets(group, one, one)
+    dec = double_cosets(rs, one, one)
     oracle = _orbit_oracle(rs, group, (1,), (1,))
     assert len(dec.representatives) == len(oracle) == 2
     assert sorted(dec.coset_sizes()) == sorted(len(o) for o in oracle) == [2, 4]
@@ -253,8 +260,7 @@ def test_a2_one_sided_count_is_three():
     # W_I \ W for I = {1}: right cosets, obtained here as (I, empty) double
     # cosets; this is the 3 that a two-sided count does not produce.
     rs = build_root_system("A", 2)
-    group = build_weyl_group(rs)
-    dec = double_cosets(group, ParabolicType.of([1]), ParabolicType.of([]))
+    dec = double_cosets(rs, ParabolicType.of([1]), ParabolicType.of([]))
     assert len(dec.representatives) == 3
 
 
@@ -262,7 +268,7 @@ def test_b2_parabolic_cosets():
     rs = build_root_system("B", 2)
     group = build_weyl_group(rs)
     one = ParabolicType.of([1])
-    dec = double_cosets(group, one, one)
+    dec = double_cosets(rs, one, one)
     oracle = _orbit_oracle(rs, group, (1,), (1,))
     assert len(dec.representatives) == len(oracle) == 3
     assert sum(dec.coset_sizes()) == 8
@@ -275,19 +281,15 @@ def test_cosets_partition_the_group(label, rank):
     indices = list(range(1, rank + 1))
     for take in range(rank + 1):
         for I in itertools.combinations(indices, take):
-            dec = double_cosets(group, ParabolicType.of(I), ParabolicType.of(I))
+            dec = double_cosets(rs, ParabolicType.of(I), ParabolicType.of(I))
             assert sum(dec.coset_sizes()) == len(group)
-            assert set(dec.coset_map) == set(group)
-            for rep in dec.representatives:
-                assert dec.coset_map[rep] == rep
-                members = [w for w, r in dec.coset_map.items() if r == rep]
-                assert rep.length == min(m.length for m in members)
+            _assert_pins_orbits(dec, group, _orbit_oracle(rs, group, I, I))
 
 
 def test_mixed_parabolics():
     rs = build_root_system("A", 2)
     group = build_weyl_group(rs)
-    dec = double_cosets(group, ParabolicType.of([1]), ParabolicType.of([2]))
+    dec = double_cosets(rs, ParabolicType.of([1]), ParabolicType.of([2]))
     oracle = _orbit_oracle(rs, group, (1,), (2,))
     assert len(dec.representatives) == len(oracle)
     assert sum(dec.coset_sizes()) == 6
@@ -341,12 +343,13 @@ def _parabolic_order(group, indices):
                for w in group)
 
 
-def _assert_descents_and_kilmoyer(group, inverses, I, J):
+def _assert_descents_and_kilmoyer(rs, group, inverses, I, J):
     """Representatives are the elements with no left descent in I and no
     right descent in J; the coset of d has |W_I| |W_J| / |W_K| elements,
     K = {i in I : d^{-1}(alpha_i) = alpha_j for some j in J} (Kilmoyer;
     Carter, Finite Groups of Lie Type, 2.7)."""
-    dec = double_cosets(group, ParabolicType.of(I), ParabolicType.of(J))
+    dec = double_cosets(rs, ParabolicType.of(I), ParabolicType.of(J),
+                        cap=len(group))
     rank = len(group[0].matrix)
     unit = [tuple(int(k == c) for k in range(rank)) for c in range(rank)]
     order_i, order_j = _parabolic_order(group, I), _parabolic_order(group, J)
@@ -372,10 +375,19 @@ def test_representatives_by_descents_sizes_by_kilmoyer(label, rank):
     inverses = _inverses(rs, group)
     for I in _subsets(rank):
         for J in _subsets(rank):
-            _assert_descents_and_kilmoyer(group, inverses, I, J)
+            _assert_descents_and_kilmoyer(rs, group, inverses, I, J)
 
 
-@pytest.mark.parametrize("label,rank", [("A", 4), ("B", 4), ("C", 4), ("D", 4)])
+def test_representatives_by_descents_on_a4_every_pair():
+    rs = build_root_system("A", 4)
+    group = build_weyl_group(rs)
+    inverses = _inverses(rs, group)
+    for I in _subsets(4):
+        for J in _subsets(4):
+            _assert_descents_and_kilmoyer(rs, group, inverses, I, J)
+
+
+@pytest.mark.parametrize("label,rank", [("B", 4), ("C", 4), ("D", 4)])
 def test_representatives_by_descents_on_rank4_samples(label, rank):
     rs = build_root_system(label, rank)
     group = build_weyl_group(rs)
@@ -383,34 +395,52 @@ def test_representatives_by_descents_on_rank4_samples(label, rank):
     subsets = _subsets(rank)
     for I, J in random.Random(1618).sample(
             [(I, J) for I in subsets for J in subsets], 4):
-        _assert_descents_and_kilmoyer(group, inverses, I, J)
+        _assert_descents_and_kilmoyer(rs, group, inverses, I, J)
 
 
 def test_representatives_by_descents_on_f4():
     rs = build_root_system("F", 4)
     group = build_weyl_group(rs, cap=1152)
-    _assert_descents_and_kilmoyer(group, _inverses(rs, group), (1, 3), (2, 3))
+    _assert_descents_and_kilmoyer(rs, group, _inverses(rs, group), (1, 3),
+                                  (2, 3))
 
 
 @pytest.mark.parametrize("label,rank", [("B", 3), ("G", 2)])
-def test_double_cosets_ignore_group_order(label, rank):
+def test_double_cosets_ignore_index_order_and_repeats(label, rank):
     rs = build_root_system(label, rank)
-    group = build_weyl_group(rs)
-    shuffled = list(group)
-    random.Random(4242).shuffle(shuffled)
+    rng = random.Random(4242)
+
+    def scrambled(indices):
+        messy = list(indices) * 2
+        rng.shuffle(messy)
+        return messy
     for I in _subsets(rank):
         for J in _subsets(rank):
-            dec = double_cosets(group, I, J)
-            again = double_cosets(tuple(shuffled), I, J)
-            assert again.representatives == dec.representatives
-            assert again.coset_map == dec.coset_map
+            dec = double_cosets(rs, ParabolicType.of(I), ParabolicType.of(J))
+            again = double_cosets(rs, scrambled(I), scrambled(J))
+            assert again == dec
 
 
 def test_double_cosets_rejects_bad_indices():
     rs = build_root_system("A", 2)
-    group = build_weyl_group(rs)
     with pytest.raises(ValueError):
-        double_cosets(group, ParabolicType.of([3]), ParabolicType.of([]))
+        double_cosets(rs, ParabolicType.of([3]), ParabolicType.of([]))
+
+
+@pytest.mark.parametrize("label,rank", sorted(WEYL_ORDERS))
+def test_double_cosets_cap_is_the_group_order(label, rank):
+    # The cap is split between |W_I| and the orbit of lambda_I; it still
+    # refuses exactly the groups of more than cap elements.
+    rs = build_root_system(label, rank)
+    order = WEYL_ORDERS[(label, rank)]
+    with pytest.raises(ResourceLimitError) as closure:
+        build_weyl_group(rs, cap=order - 1)
+    full = tuple(range(1, rank + 1))
+    for I in {(), (1,), full[1:], full}:
+        assert double_cosets(rs, I, (1,), cap=order).group_order == order
+        with pytest.raises(ResourceLimitError) as refused:
+            double_cosets(rs, I, (1,), cap=order - 1)
+        assert str(refused.value) == str(closure.value)
 
 
 # -- root partition ----------------------------------------------------------
