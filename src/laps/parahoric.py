@@ -75,28 +75,27 @@ def _times_s(m: IntMatrix, cartan, i: int) -> IntMatrix:
                  for row in m)
 
 
-def _descent_word(rs: RootSystem, matrix: IntMatrix) -> Tuple[int, ...]:
-    """Canonical reduced word, peeling right descents smallest index first."""
-    ident = _identity(rs.rank)
-    suffix, m = [], matrix
-    while m != ident:
-        i = next((i for i in range(rs.rank) if all(row[i] <= 0 for row in m)), None)
-        if i is None or len(suffix) == len(rs.positive_roots):
-            raise ValueError("matrix is not a Weyl group element")
-        suffix.append(i + 1)
-        m = _times_s(m, rs.cartan_matrix, i)
-    return tuple(reversed(suffix))
+def _reflect(y: Tuple[int, ...], cartan, i: int) -> Tuple[int, ...]:
+    """s_i on coroot pairings, i 0-based: y_j -> y_j - a_ji y_i."""
+    return tuple(v - row[i] * y[i] for v, row in zip(y, cartan))
 
 
 def weyl_element(rs: RootSystem, word: Iterable[int]) -> WeylElement:
-    """Element from any word in the generators; the stored word is canonical."""
-    m = _identity(rs.rank)
+    """Element d from any word in the generators, with its canonical word:
+    the pairings y of d^{-1}(rho), tracked along the word, lose the smallest
+    right descent (the smallest i with y_i < 0) until y is rho's again."""
+    cartan = rs.cartan_matrix
+    m, y = _identity(rs.rank), (1,) * rs.rank
     for i in word:
         if not 1 <= i <= rs.rank:
             raise ValueError("simple reflection index %r out of range 1..%d"
                              % (i, rs.rank))
-        m = _times_s(m, rs.cartan_matrix, i - 1)
-    return WeylElement(m, _descent_word(rs, m))
+        m, y = _times_s(m, cartan, i - 1), _reflect(y, cartan, i - 1)
+    canonical = ()
+    while min(y) < 0:
+        i = next(i for i, v in enumerate(y) if v < 0)
+        canonical, y = (i + 1,) + canonical, _reflect(y, cartan, i)
+    return WeylElement(m, canonical)
 
 
 def multiply(rs: RootSystem, a: WeylElement, b: WeylElement) -> WeylElement:
@@ -111,8 +110,7 @@ def _orbit(rs: RootSystem, start: Tuple[int, ...], gens: Sequence[int], cap: int
            per: int = 1) -> Dict[tuple, Tuple[IntMatrix, Tuple[int, ...]]]:
     """The orbit of a dominant weight mu under the simple reflections gens
     (0-based, ascending), by a lowering breadth-first search on coroot
-    pairings: start is mu's, s_i is taken only where the i-th pairing y_i is
-    positive, and s_i maps y_j -> y_j - a_ji y_i.
+    pairings y: start is mu's, and s_i is taken only where y_i > 0.
 
     Maps each point nu = u(mu), u minimal in u W_mu, to the matrix and word
     of d = u^{-1}, in order of length: a new point stores its parent's matrix
@@ -127,11 +125,10 @@ def _orbit(rs: RootSystem, start: Tuple[int, ...], gens: Sequence[int], cap: int
     while frontier:
         new = []
         for i in gens:
-            column = [row[i] for row in cartan]
             for y in frontier:
                 if y[i] <= 0:
                     continue  # s_i fixes nu or was the step that reached it
-                key = tuple(v - a * y[i] for v, a in zip(y, column))
+                key = _reflect(y, cartan, i)
                 if key not in seen:
                     m, word = seen[y]
                     seen[key] = (_times_s(m, cartan, i), word + (i + 1,))
@@ -179,12 +176,10 @@ def double_cosets(rs: RootSystem, I, J,
     order_i = len(_orbit(rs, (1,) * rs.rank, left, cap))
     lam = tuple(0 if i in left else 1 for i in range(rs.rank))
     points = _orbit(rs, lam, range(rs.rank), cap, order_i)
-    cartan = rs.cartan_matrix
     top: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
     for y in points:  # s_j nu is shorter, so already placed
         j = next((j for j in right if y[j] < 0), None)
-        top[y] = y if j is None else top[
-            tuple(v - row[j] * y[j] for v, row in zip(y, cartan))]
+        top[y] = y if j is None else top[_reflect(y, rs.cartan_matrix, j)]
     counts = Counter(top.values())
     reps = sorted(counts, key=lambda y: (len(points[y][1]), points[y][1]))
     return DoubleCosetDecomposition(
@@ -195,15 +190,13 @@ def double_cosets(rs: RootSystem, I, J,
 def iwahori_root_partition(rs: RootSystem, I, w: WeylElement):
     """Split the roots outside the I-span by the sign of w^{-1}(root).
 
-    Returns (plus, minus): the roots alpha with w^{-1}(alpha) positive land in
-    plus, the rest in minus. Roots supported entirely on I are excluded.
-    Both tuples are sorted by coordinates.
+    Returns (plus, minus): the roots alpha with w^{-1}(alpha) positive, that
+    is the roots in w(Phi+), land in plus, the rest in minus. Roots supported
+    entirely on I are excluded. Both tuples are sorted by coordinates.
     """
     idx = set(_normalize_indices(rs.rank, I))
-    w_inv = invert(rs, w)
+    image = {w.apply(beta) for beta in rs.positive_roots}
     kept = [r for beta in rs.positive_roots for r in (beta, -beta)
             if not all(c == 0 or (k + 1) in idx for k, c in enumerate(r.coords))]
-    plus, minus = [], []
-    for r in kept:
-        (plus if w_inv.apply(r).sign > 0 else minus).append(r)
-    return tuple(sorted(plus)), tuple(sorted(minus))  # Root orders by coords
+    return (tuple(sorted(r for r in kept if r in image)),  # by coordinates
+            tuple(sorted(r for r in kept if r not in image)))

@@ -270,6 +270,35 @@ def test_check_oracle_skipped_for_generic():
     assert "generic exponents" in block["skipped"]
 
 
+SKIPPED = "generic exponents: criterion-only character, nothing to scan"
+
+
+def test_main_oracle_skipped_text_and_machine(tmp_path, capsys):
+    path = _write(tmp_path, "group = A2\nlambda = [generic, 0]\noracle = true\n")
+    assert main(["check", "--config", path]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert "\noracle: skipped (%s)\n" % SKIPPED in out
+    assert main(["check", "--config", path, "--format", "machine"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["oracle"] == [{"embedding": None, "skipped": SKIPPED}]
+
+
+def test_main_oracle_skips_one_embedding_and_scans_the_other(tmp_path, capsys):
+    path = _write(tmp_path, "group = ResScalars(GL2, 2)\n"
+                            "c = [[generic, 0], [1, 0]]\noracle_bound = 3\n")
+    assert main(["check", "--config", path]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "oracle sigma1: skipped (%s)" % SKIPPED in lines
+    assert "oracle sigma2 [bound 3]: no obstruction up to degree 3" in lines
+    assert main(["check", "--config", path, "--format", "machine"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["oracle"] == [
+        {"embedding": "sigma1", "skipped": SKIPPED},
+        {"embedding": "sigma2", "bound": 3, "reducible": False,
+         "witnesses": []}]
+
+
 def test_check_resscalars_embeddings():
     text = "group = ResScalars(GL2, 2)\nc = [[0, 0], [1/2, 0]]\n"
     payload = run(_cfg(text), "check")

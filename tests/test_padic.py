@@ -5,6 +5,7 @@ Everything is exact exponent arithmetic; the only infinity is the float
 INF sentinel for zero elements.
 """
 
+import itertools
 import math
 import random
 import time
@@ -181,6 +182,53 @@ def test_mahler_incomplete_table_rejected():
     table = {(0,): Fraction(1), (2,): Fraction(1)}
     with pytest.raises(ValueError):
         mahler_coefficients(3, 1, table, 2)
+    # The message names the first missing point in itertools.product order.
+    table = {pt: Fraction(1) for pt in itertools.product(range(3), repeat=2)}
+    del table[(1, 2)], table[(2, 0)]
+    with pytest.raises(ValueError, match=r"missing grid point \(1, 2\)"):
+        mahler_coefficients(3, 2, table, 2)
+
+
+def _mahler_reference(d, table, bound):
+    """c_n = sum over k <= n of (-1)^(|n| - |k|) prod_i C(n_i, k_i) f(k),
+    the closed form of the iterated differences, nonzero terms only, in
+    itertools.product order."""
+    box = list(itertools.product(range(bound + 1), repeat=d))
+    out = {}
+    for n in box:
+        c = sum((-1) ** (sum(n) - sum(k))
+                * math.prod(math.comb(a, b) for a, b in zip(n, k)) * table[k]
+                for k in itertools.product(*(range(a + 1) for a in n)))
+        if c != 0:
+            out[n] = c
+    return out
+
+
+def test_mahler_matches_the_closed_form_on_random_tables():
+    rng = random.Random(5821)
+    for trial in range(40):
+        d, bound = rng.randint(1, 3), rng.randint(0, 4)
+        table = {pt: Fraction(rng.randint(-30, 30), rng.randint(1, 6))
+                 for pt in itertools.product(range(bound + 1), repeat=d)}
+        if trial % 3 == 0:  # sparse tables: many coefficients vanish
+            table = {pt: v if rng.random() < 0.2 else Fraction(0)
+                     for pt, v in table.items()}
+        expected = _mahler_reference(d, table, bound)
+        for f in (table, lambda *pt: table[pt]):
+            s = mahler_coefficients(3, d, f, bound)
+            assert list(s.coefficients.items()) == list(expected.items())
+            assert s.degree_bound == d * bound
+        for point, value in table.items():  # s is the same for both forms
+            assert mahler_evaluate(s, point) == value
+
+
+def test_mahler_callable_key_error_propagates():
+    # Only a mapping's missing point becomes the ValueError; a KeyError
+    # raised inside a callable is the caller's own and passes through.
+    def f(x, y):
+        return {}[(x, y)]
+    with pytest.raises(KeyError, match=r"\(0, 0\)"):
+        mahler_coefficients(3, 2, f, 2)
 
 
 def test_mahler_degree_bound_is_full_box():

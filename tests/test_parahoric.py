@@ -1,12 +1,13 @@
 """Weyl group combinatorics: enumeration, canonical words, double cosets,
 and the root-sign partition.
 
-The one-reflection update, the closure and the double cosets are checked
-against full integer matrix products written here, with no shared code
-with the production BFS: the closure reference is keyed by matrix, the
-orbit oracle multiplies out u * w * v over the full parabolic subgroups,
-and the representatives and coset sizes are checked by descents and by
-Kilmoyer's formula. The A2 count for I = J = {1} is 2
+The one-reflection update, weyl_element, the closure and the double cosets
+are checked against full integer matrix products written here, with no
+shared code with the production BFS: weyl_element's canonical word is
+checked against a peel of the product matrix, the closure reference is
+keyed by matrix, the orbit oracle multiplies out u * w * v over the full
+parabolic subgroups, and the representatives and coset sizes are checked
+by descents and by Kilmoyer's formula. The A2 count for I = J = {1} is 2
 (cosets {e, s1} and the four remaining elements); a one-sided count over
 the same data gives 3.
 """
@@ -149,6 +150,40 @@ def test_canonical_word_is_stable():
         match = [g for g in group if g.matrix == w.matrix]
         assert len(match) == 1
         assert match[0].word == w.word
+
+
+def _peeled_word(rs, matrix):
+    """Canonical word by peeling the matrix: while it is not the identity,
+    record its smallest right descent i (column i nonpositive, so
+    m(alpha_i) < 0) and go on with m * s_i."""
+    ident = tuple(tuple(int(r == c) for c in range(rs.rank))
+                  for r in range(rs.rank))
+    suffix, m = [], matrix
+    while m != ident:
+        assert len(suffix) < len(rs.positive_roots)
+        i = next(i for i in range(rs.rank) if all(row[i] <= 0 for row in m))
+        suffix.append(i + 1)
+        m = _mat_mul(m, _reflection(rs, i))
+    return tuple(reversed(suffix))
+
+
+@pytest.mark.parametrize("label,rank", sorted(WEYL_ORDERS) + [("F", 4)])
+def test_weyl_element_matches_full_products_and_matrix_peel(label, rank):
+    # Random words with repeated letters, up to 3 |Phi+| letters long, so
+    # most are far from reduced.
+    rs = build_root_system(label, rank)
+    gens = [_reflection(rs, i) for i in range(rank)]
+    rng = random.Random("%s%d" % (label, rank))
+    for _ in range(60):
+        word = [rng.randint(1, rank)
+                for _ in range(rng.randint(0, 3 * len(rs.positive_roots)))]
+        matrix = tuple(tuple(int(r == c) for c in range(rank))
+                       for r in range(rank))
+        for i in word:
+            matrix = _mat_mul(matrix, gens[i - 1])
+        w = weyl_element(rs, word)
+        assert w.matrix == matrix
+        assert w.word == _peeled_word(rs, matrix)
 
 
 def test_multiply_and_invert():
