@@ -109,7 +109,10 @@ def _number(s: str) -> Fraction:
     exponent = _EXPONENT_RE.search(s)
     if exponent and len(exponent.group(1).replace("_", "").lstrip("0")) > 4:
         raise ValueError(_TOO_LARGE)
-    f = Fraction(s)
+    try:
+        f = Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError("zero denominator in %r" % s) from None
     if max(abs(f.numerator), f.denominator) >= _NUMBER_CAP:
         raise ValueError(_TOO_LARGE)
     return f
@@ -283,11 +286,11 @@ def _parse_terms(key, value, cfg):
 
 
 # Config key -> (ProblemConfig attribute, parser). A parser takes (key, raw
-# value, config so far), returns the attribute value and raises ValueError or
-# ZeroDivisionError with the violation text. Keys are parsed and echoed in
-# this order, so a parser may read what the keys above it set (group fixes
-# the kind and rank that c, lambda, I, J and w are checked against; d fixes
-# the arity of monomial, tau and terms).
+# value, config so far), returns the attribute value and raises ValueError
+# with the violation text. Keys are parsed and echoed in this order, so a
+# parser may read what the keys above it set (group fixes the kind and rank
+# that c, lambda, I, J and w are checked against; d fixes the arity of
+# monomial, tau and terms).
 _SCHEMA = {
     "group": ("group_kind", _parse_group),
     "c": ("c", _parse_c),
@@ -341,7 +344,7 @@ def parse_config(text: str) -> ProblemConfig:
         lineno, value = raw[key]
         try:
             setattr(cfg, attr, parse(key, value, cfg))
-        except (ValueError, ZeroDivisionError) as exc:
+        except ValueError as exc:
             violations.append((lineno, str(exc)))
 
     if violations:
@@ -353,8 +356,6 @@ def parse_config(text: str) -> ProblemConfig:
 def _fmt(x) -> str:
     if isinstance(x, Generic):
         return "generic"
-    if x == INF:
-        return "inf"
     return str(x)
 
 

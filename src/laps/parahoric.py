@@ -1,19 +1,21 @@
 """Weyl group combinatorics: double cosets and Iwahori root partitions.
 
-Elements act on simple-root coordinates by integer matrices; the reduced
-word stored on each element is the canonical one (smallest right descent
-last), so equality of elements is equality of matrices. Products are taken
-one simple reflection at a time, as local updates (CONVENTIONS.md).
+An element is its canonical word over a Cartan matrix, the reduced word
+that ends in its smallest right descent (CONVENTIONS.md), so equality of
+elements is equality of words. Its integer matrix on simple-root
+coordinates is formed on first use, one simple reflection at a time.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from collections import Counter
-from typing import Dict, Iterable, Sequence, Tuple
+from typing import Dict, Iterable, Tuple
 
 from .errors import ResourceLimitError
 from .record import Value
-from .roots import Root, RootSystem
+from .roots import Root, RootSystem, _reflect as _reflect_root
 
 IntMatrix = Tuple[Tuple[int, ...], ...]
 
@@ -21,19 +23,31 @@ WEYL_ORDER_CAP = 1000
 
 
 class WeylElement(Value):
-    def __init__(self, matrix: IntMatrix, word: Tuple[int, ...]):
-        self.__dict__.update(matrix=matrix, word=word)
+    """The element of canonical word `word` in the Weyl group of `cartan`."""
+
+    def __init__(self, word: Tuple[int, ...], cartan: IntMatrix):
+        self.__dict__.update(word=word, cartan=cartan)
 
     @property
     def length(self) -> int:
         return len(self.word)
 
+    @functools.cached_property
+    def matrix(self) -> IntMatrix:
+        """The action on simple-root coordinates, formed on first use:
+        column j is w(alpha_j), the word's reflections taken right to left."""
+        rank = len(self.cartan)
+        columns = [tuple(int(k == j) for k in range(rank)) for j in range(rank)]
+        for i in reversed(self.word):
+            columns = [_reflect_root(self.cartan, i - 1, c) for c in columns]
+        return tuple(zip(*columns))
+
     def apply(self, root: Root) -> Root:
         """Image of a root under this element."""
         c = root.coords
-        if len(c) != len(self.matrix):
+        if len(c) != len(self.cartan):
             raise ValueError("root arity %d does not match rank %d"
-                             % (len(c), len(self.matrix)))
+                             % (len(c), len(self.cartan)))
         return Root(tuple(sum(a * x for a, x in zip(row, c)) for row in self.matrix))
 
     def __str__(self) -> str:
@@ -64,17 +78,6 @@ class DoubleCosetDecomposition(Value):
         return self.sizes
 
 
-def _identity(rank: int) -> IntMatrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(rank)) for i in range(rank))
-
-
-def _times_s(m: IntMatrix, cartan, i: int) -> IntMatrix:
-    """m * s_i, i 0-based: column j loses a_ij times column i."""
-    a = cartan[i]
-    return tuple(tuple(v - row[i] * c for v, c in zip(row, a)) if row[i] else row
-                 for row in m)
-
-
 def _reflect(y: Tuple[int, ...], cartan, i: int) -> Tuple[int, ...]:
     """s_i on coroot pairings, i 0-based: y_j -> y_j - a_ji y_i."""
     return tuple(v - row[i] * y[i] for v, row in zip(y, cartan))
@@ -84,18 +87,17 @@ def weyl_element(rs: RootSystem, word: Iterable[int]) -> WeylElement:
     """Element d from any word in the generators, with its canonical word:
     the pairings y of d^{-1}(rho), tracked along the word, lose the smallest
     right descent (the smallest i with y_i < 0) until y is rho's again."""
-    cartan = rs.cartan_matrix
-    m, y = _identity(rs.rank), (1,) * rs.rank
+    cartan, y = rs.cartan_matrix, (1,) * rs.rank
     for i in word:
         if not 1 <= i <= rs.rank:
             raise ValueError("simple reflection index %r out of range 1..%d"
                              % (i, rs.rank))
-        m, y = _times_s(m, cartan, i - 1), _reflect(y, cartan, i - 1)
+        y = _reflect(y, cartan, i - 1)
     canonical = ()
     while min(y) < 0:
         i = next(i for i, v in enumerate(y) if v < 0)
         canonical, y = (i + 1,) + canonical, _reflect(y, cartan, i)
-    return WeylElement(m, canonical)
+    return WeylElement(canonical, cartan)
 
 
 def multiply(rs: RootSystem, a: WeylElement, b: WeylElement) -> WeylElement:
@@ -106,36 +108,36 @@ def invert(rs: RootSystem, a: WeylElement) -> WeylElement:
     return weyl_element(rs, reversed(a.word))
 
 
-def _orbit(rs: RootSystem, start: Tuple[int, ...], gens: Sequence[int], cap: int,
-           per: int = 1) -> Dict[tuple, Tuple[IntMatrix, Tuple[int, ...]]]:
-    """The orbit of a dominant weight mu under the simple reflections gens
-    (0-based, ascending), by a lowering breadth-first search on coroot
-    pairings y: start is mu's, and s_i is taken only where y_i > 0.
+def _group_order(rs: RootSystem) -> int:
+    """|W| = prod (m_k + 1) over the exponents m_k, the partition dual to
+    the numbers of positive roots of each height (Kostant 1959; Humphreys,
+    Reflection Groups and Coxeter Groups, 3.9 and 3.20)."""
+    counts = Counter(r.height for r in rs.positive_roots).values()
+    return math.prod(1 + sum(n >= k for n in counts) for k in range(1, rs.rank + 1))
 
-    Maps each point nu = u(mu), u minimal in u W_mu, to the matrix and word
-    of d = u^{-1}, in order of length: a new point stores its parent's matrix
-    times s_i and its parent's word plus i. The right descents of d are the
-    i with nu_i < 0, and with the generators as the outer loop nu is first
-    reached through the smallest of them, so the word is d's canonical one.
-    More than cap // per points is refused, as a Weyl group of more than cap
-    elements."""
-    cartan = rs.cartan_matrix
-    seen = {start: (_identity(rs.rank), ())}
-    frontier = [start]
+
+def _orbit(rs: RootSystem, start: Tuple[int, ...], cap: int) -> Dict[tuple, tuple]:
+    """The orbit of a dominant weight mu, by a lowering breadth-first search
+    on coroot pairings y from start, mu's, taking s_i only where y_i > 0;
+    a Weyl group of more than cap elements is refused before it starts.
+    Maps each point nu = u(mu), u minimal in u W_mu, to the word of
+    d = u^{-1}, in order of length: its parent's word plus i. The right
+    descents of d are the i with nu_i < 0, and with the generators as the
+    outer loop nu is first reached through the smallest, so the word is
+    d's canonical one."""
+    if _group_order(rs) > cap:
+        raise ResourceLimitError("Weyl group exceeds the cap of %d elements" % cap)
+    seen, frontier = {start: ()}, [start]
     while frontier:
         new = []
-        for i in gens:
+        for i in range(rs.rank):
             for y in frontier:
                 if y[i] <= 0:
                     continue  # s_i fixes nu or was the step that reached it
-                key = _reflect(y, cartan, i)
+                key = _reflect(y, rs.cartan_matrix, i)
                 if key not in seen:
-                    m, word = seen[y]
-                    seen[key] = (_times_s(m, cartan, i), word + (i + 1,))
+                    seen[key] = seen[y] + (i + 1,)
                     new.append(key)
-                    if len(seen) * per > cap:
-                        raise ResourceLimitError(
-                            "Weyl group exceeds the cap of %d elements" % cap)
         frontier = new
     return seen
 
@@ -143,9 +145,9 @@ def _orbit(rs: RootSystem, start: Tuple[int, ...], gens: Sequence[int], cap: int
 def build_weyl_group(rs: RootSystem, cap: int = WEYL_ORDER_CAP) -> Tuple[WeylElement, ...]:
     """The whole Weyl group sorted by (length, word): the orbit of rho, which
     is free, so it has one point per element."""
-    orbit = _orbit(rs, (1,) * rs.rank, range(rs.rank), cap)
-    elements = [WeylElement(m, word) for m, word in orbit.values()]
-    return tuple(sorted(elements, key=lambda w: (w.length, w.word)))
+    words = _orbit(rs, (1,) * rs.rank, cap).values()
+    return tuple(WeylElement(word, rs.cartan_matrix)
+                 for word in sorted(words, key=lambda word: (len(word), word)))
 
 
 def _normalize_indices(group_rank: int, indices) -> Tuple[int, ...]:
@@ -168,22 +170,21 @@ def double_cosets(rs: RootSystem, I, J,
     minimal element, the one with no left descent in I and no right descent
     in J (Carter, Finite Groups of Lie Type, 2.7), is the point with
     nu_j >= 0 for every j in J. Each point is raised by s_j (nu_j < 0) to
-    that point, and a coset's size is |W_I| times the points that reach it.
-    |W_I| is the size of rho's orbit under I, |W| = |W_I| |orbit|, and a |W|
-    over cap is refused."""
+    that point, and a coset's size is |W_I| times the points that reach it,
+    |W_I| = |W| / |orbit|. A |W| over cap is refused."""
     left = [i - 1 for i in _normalize_indices(rs.rank, I)]
     right = [j - 1 for j in _normalize_indices(rs.rank, J)]
-    order_i = len(_orbit(rs, (1,) * rs.rank, left, cap))
     lam = tuple(0 if i in left else 1 for i in range(rs.rank))
-    points = _orbit(rs, lam, range(rs.rank), cap, order_i)
+    points, order = _orbit(rs, lam, cap), _group_order(rs)
+    order_i = order // len(points)
     top: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
     for y in points:  # s_j nu is shorter, so already placed
         j = next((j for j in right if y[j] < 0), None)
         top[y] = y if j is None else top[_reflect(y, rs.cartan_matrix, j)]
     counts = Counter(top.values())
-    reps = sorted(counts, key=lambda y: (len(points[y][1]), points[y][1]))
+    reps = sorted(counts, key=lambda y: (len(points[y]), points[y]))
     return DoubleCosetDecomposition(
-        order_i * len(points), tuple(WeylElement(*points[y]) for y in reps),
+        order, tuple(WeylElement(points[y], rs.cartan_matrix) for y in reps),
         tuple(order_i * counts[y] for y in reps))
 
 

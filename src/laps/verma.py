@@ -373,14 +373,12 @@ def kostant_counts(rs: RootSystem, height_bound: int) -> Dict[Coords, int]:
 
 
 def _depth(module: VermaModule, mu: Weight):
-    """nu in Q+ (simple-root coordinates) with mu = lam - nu, or None."""
+    """nu in Q+ (simple-root coordinates) with mu = lam - nu, or None; the
+    Cartan matrix is non-singular, so solve_unique always finds nu."""
     if not mu.is_rational():
         raise ValueError("weight space lookup needs a rational weight")
-    try:
-        coords = linalg.solve_unique(module._rs.cartan_matrix,
-                                     (module.lam - mu).pairings)
-    except ValueError:
-        return None
+    coords = linalg.solve_unique(module._rs.cartan_matrix,
+                                 (module.lam - mu).pairings)
     if any(x.denominator != 1 or x < 0 for x in coords):
         return None
     return tuple(int(x) for x in coords)

@@ -1,8 +1,8 @@
 """Command-line layer: config parsing with line-numbered violations, report
 payloads for every subcommand, deterministic rendering, and exit codes.
 
-main() is driven in-process with explicit argv lists; the one subprocess is
-the fresh interpreter that checks what `import laps.cli` loads.
+main() is driven in-process with explicit argv lists; fresh interpreters
+check what `import laps.cli` loads and the exit codes of `python -m laps.cli`.
 """
 
 import contextlib
@@ -149,10 +149,10 @@ def test_parse_violations_sorted_by_line():
     ("d = 1\nterms = [[0, 1, 1]]\n", "needs 1 indices"),
     ("group = ResScalars(GL2, 2)\nc = [1/2, 0]\n", "list of exponent pairs"),
     ("group = ResScalars(GL2, 2)\nc = [[1/2, 0]]\n", "expected 2"),
-    ("group = A2\nlambda = [1/0, 0]\n", "Fraction(1, 0)"),
+    ("group = A2\nlambda = [1/0, 0]\n", "zero denominator in '1/0'"),
     ("group = A2\nlambda = [0, 0\n", "unterminated"),
-    ("group = A2\nI = [1/0]\n", "line 2: Fraction(1, 0)"),
-    ("d = 1\nmonomial = [1/0]\n", "line 2: Fraction(1, 0)"),
+    ("group = A2\nI = [1/0]\n", "line 2: zero denominator in '1/0'"),
+    ("d = 1\nmonomial = [1/0]\n", "line 2: zero denominator in '1/0'"),
     ("group =\n", "line 1: empty value for 'group'"),
     ("group = A2\nlambda = [[0], 0]\n", "must be a flat bracketed list"),
     ("d = 1/2\n", "expected an integer, got 1/2"),
@@ -336,8 +336,8 @@ def test_cosets_payload():
 
 
 def test_main_cosets_f4_exceeds_the_weyl_cap(tmp_path, capsys):
-    # |W(F4)| = 1152 > WEYL_ORDER_CAP, for every I: W_I and the orbit of
-    # lambda_I share the cap.
+    # |W(F4)| = 1152 > WEYL_ORDER_CAP, for every I: |W| is checked before
+    # the orbit of lambda_I is searched.
     for indices in ("[]", "[1, 2, 3, 4]", "[2, 3]"):
         path = _write(tmp_path, "group = F4\nI = %s\n" % indices)
         assert main(["cosets", "--config", path]) == 2
@@ -639,7 +639,7 @@ def test_main_zero_denominator_index_is_config_error(tmp_path, capsys):
     path = _write(tmp_path, "group = A2\nI = [1/0]\n")
     assert main(["cosets", "--config", path]) == 1
     err = capsys.readouterr().err
-    assert err == "laps: config error: line 2: Fraction(1, 0)\n"
+    assert err == "laps: config error: line 2: zero denominator in '1/0'\n"
 
 
 def test_main_deep_nesting_is_config_error(tmp_path, capsys):
@@ -954,6 +954,27 @@ def test_import_cli_leaves_out_dataclasses():
                          env=dict(os.environ, PYTHONPATH=src),
                          capture_output=True, text=True, check=True).stdout
     assert out == "False\n"
+
+
+@pytest.mark.parametrize("text,code,err", [
+    (None, 0, ""),  # the shipped cosets_a2.cfg
+    ("group = A2\nI = [1/0]\n", 1,
+     "laps: config error: line 2: zero denominator in '1/0'\n"),
+    ("group = F4\n", 2,
+     "laps: resource limit: Weyl group exceeds the cap of 1000 elements\n"),
+])
+def test_module_entry_point_exit_codes(tmp_path, text, code, err):
+    # One process per run, as a shell caller sees it: sys.exit(main()).
+    root = Path(__file__).resolve().parents[1]
+    path = (root / "configs" / "cosets_a2.cfg" if text is None
+            else _write(tmp_path, text))
+    done = subprocess.run(
+        [sys.executable, "-m", "laps.cli", "cosets", "--config", str(path)],
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        capture_output=True, text=True)
+    golden = (root / "tests" / "golden" / "cosets_a2.txt").read_text(
+        encoding="utf-8") if code == 0 else ""
+    assert (done.returncode, done.stdout, done.stderr) == (code, golden, err)
 
 
 def test_every_public_name_resolves():

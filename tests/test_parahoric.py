@@ -1,9 +1,9 @@
 """Weyl group combinatorics: enumeration, canonical words, double cosets,
 and the root-sign partition.
 
-The one-reflection update, weyl_element, the closure and the double cosets
-are checked against full integer matrix products written here, with no
-shared code with the production BFS: weyl_element's canonical word is
+The element matrices, weyl_element, the closure and the double cosets are
+checked against full integer matrix products written here, with no shared
+code with the production BFS: weyl_element's canonical word is
 checked against a peel of the product matrix, the closure reference is
 keyed by matrix, the orbit oracle multiplies out u * w * v over the full
 parabolic subgroups, and the representatives and coset sizes are checked
@@ -20,7 +20,7 @@ import pytest
 from laps import (ParabolicType, ResourceLimitError, Root, build_root_system,
                   build_weyl_group, double_cosets, iwahori_root_partition,
                   weyl_element)
-from laps.parahoric import _times_s, invert, multiply
+from laps.parahoric import WeylElement, _group_order, invert, multiply
 
 # Every type within the rank cap whose group fits under WEYL_ORDER_CAP.
 WEYL_ORDERS = {
@@ -29,6 +29,8 @@ WEYL_ORDERS = {
     ("C", 2): 8, ("C", 3): 48, ("C", 4): 384,
     ("D", 3): 24, ("D", 4): 192, ("G", 2): 12,
 }
+# And F4, whose group exceeds WEYL_ORDER_CAP.
+ALL_ORDERS = {**WEYL_ORDERS, ("F", 4): 1152}
 
 
 # -- full products, independent of laps.parahoric ----------------------------
@@ -48,11 +50,14 @@ def _reflection(rs, i):
 
 # -- group construction ------------------------------------------------------
 
-@pytest.mark.parametrize("label,rank", sorted(WEYL_ORDERS))
+@pytest.mark.parametrize("label,rank", sorted(ALL_ORDERS))
 def test_group_order_closed_forms(label, rank):
+    # |W| = prod (m_k + 1) over the exponents, read before any search.
     rs = build_root_system(label, rank)
-    group = build_weyl_group(rs)
-    assert len(group) == WEYL_ORDERS[(label, rank)]
+    order = ALL_ORDERS[(label, rank)]
+    assert _group_order(rs) == order
+    group = build_weyl_group(rs, cap=order)
+    assert len(group) == order
     assert len({w.matrix for w in group}) == len(group)
 
 
@@ -95,11 +100,14 @@ def test_closure_matches_matrix_keyed_reference(label, rank):
 
 @pytest.mark.parametrize("label,rank", sorted(WEYL_ORDERS))
 def test_one_reflection_updates_match_full_products(label, rank):
+    # A matrix is formed from the word one simple reflection at a time; the
+    # element w * s_i has the matrix of w times S_i.
     rs = build_root_system(label, rank)
     gens = [_reflection(rs, i) for i in range(rank)]
     for w in build_weyl_group(rs):
         for i, s in enumerate(gens):
-            assert _times_s(w.matrix, rs.cartan_matrix, i) == _mat_mul(w.matrix, s)
+            ws = weyl_element(rs, w.word + (i + 1,))
+            assert ws.matrix == _mat_mul(w.matrix, s)
 
 
 @pytest.mark.parametrize("label,rank", [("B", 2), ("G", 2), ("A", 3)])
@@ -201,6 +209,27 @@ def test_group_cap_enforced():
     rs = build_root_system("A", 3)
     with pytest.raises(ResourceLimitError):
         build_weyl_group(rs, cap=10)
+
+
+def test_element_is_its_word_over_its_cartan_matrix():
+    a2, b2 = build_root_system("A", 2), build_root_system("B", 2)
+    s1 = weyl_element(a2, (1,))
+    assert s1 == WeylElement((1,), a2.cartan_matrix)
+    assert s1.matrix == weyl_element(b2, (1,)).matrix == ((-1, 1), (0, 1))
+    assert s1 != weyl_element(b2, (1,))
+
+
+def test_apply_rejects_a_root_of_the_wrong_arity():
+    w = weyl_element(build_root_system("A", 2), (1, 2))
+    with pytest.raises(ValueError, match="root arity 3 does not match rank 2"):
+        w.apply(Root((1, 0, 0)))
+
+
+@pytest.mark.parametrize("letter", [0, 3, -1])
+def test_weyl_element_rejects_an_out_of_range_letter(letter):
+    rs = build_root_system("A", 2)
+    with pytest.raises(ValueError, match="out of range 1..2"):
+        weyl_element(rs, (1, letter))
 
 
 def test_parabolic_type_normalizes():
@@ -462,14 +491,17 @@ def test_double_cosets_rejects_bad_indices():
         double_cosets(rs, ParabolicType.of([3]), ParabolicType.of([]))
 
 
-@pytest.mark.parametrize("label,rank", sorted(WEYL_ORDERS))
+@pytest.mark.parametrize("label,rank", sorted(ALL_ORDERS))
 def test_double_cosets_cap_is_the_group_order(label, rank):
-    # The cap is split between |W_I| and the orbit of lambda_I; it still
-    # refuses exactly the groups of more than cap elements.
+    # |W| is read from the root heights and checked against the cap before
+    # the orbit of lambda_I is searched: exactly the groups of more than cap
+    # elements are refused.
     rs = build_root_system(label, rank)
-    order = WEYL_ORDERS[(label, rank)]
+    order = ALL_ORDERS[(label, rank)]
     with pytest.raises(ResourceLimitError) as closure:
         build_weyl_group(rs, cap=order - 1)
+    assert str(closure.value) == (
+        "Weyl group exceeds the cap of %d elements" % (order - 1))
     full = tuple(range(1, rank + 1))
     for I in {(), (1,), full[1:], full}:
         assert double_cosets(rs, I, (1,), cap=order).group_order == order

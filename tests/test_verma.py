@@ -167,6 +167,13 @@ def test_weight_space_empty_off_lattice():
     assert weight_space_basis(module, weight(1, 0)) == ()
 
 
+def test_weight_space_rejects_a_weight_of_the_wrong_arity():
+    module = verma_module("A", 2, [0, 0])
+    for mu in (weight(0, 0, 0), weight(0)):
+        with pytest.raises(ValueError, match="weight arity mismatch"):
+            weight_space_basis(module, mu)
+
+
 def test_weight_space_dimension_matches_partition_count():
     module = VermaModule(build_root_system("B", 2), weight(0, 0))
     rs = module._rs
